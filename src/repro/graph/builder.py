@@ -20,8 +20,7 @@ def _csr_from_sorted(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Build (ptr, adj) from edge arrays already sorted by (row, col)."""
     ptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
-    np.add.at(ptr, rows + 1, 1)
-    np.cumsum(ptr, out=ptr)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
     return ptr, cols.astype(INDEX_DTYPE, copy=True)
 
 
@@ -58,15 +57,19 @@ def _from_edge_arrays(
 ) -> BipartiteCSR:
     """Internal: build from (already range-checked) parallel edge arrays."""
     if xs.size:
-        # Deduplicate via a combined key, then sort by (x, y).
-        key = xs * np.int64(n_y) + ys
-        key = np.unique(key)
+        # Sort by (x, y) via a combined key, then drop adjacent repeats
+        # (much cheaper than np.unique, which hashes before sorting).
+        key = np.sort(xs * np.int64(n_y) + ys)
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
         xs = (key // n_y).astype(INDEX_DTYPE)
         ys = (key % n_y).astype(INDEX_DTYPE)
     x_ptr, x_adj = _csr_from_sorted(n_x, xs, ys)
-    # Transpose: sort by (y, x).
-    order = np.lexsort((xs, ys))
-    y_ptr, y_adj = _csr_from_sorted(n_y, ys[order], xs[order])
+    # Transpose: sort by (y, x), again through one combined key.
+    tkey = np.sort(ys * np.int64(n_x) + xs)
+    y_ptr, y_adj = _csr_from_sorted(n_y, tkey // n_x, tkey % n_x)
     return BipartiteCSR(n_x, n_y, x_ptr, x_adj, y_ptr, y_adj, validate=validate)
 
 

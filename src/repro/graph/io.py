@@ -5,10 +5,14 @@ matrix collection, distributed in Matrix Market coordinate format. This
 module implements the subset of the format needed to ingest those files
 offline: ``matrix coordinate`` with ``pattern | real | integer`` fields and
 ``general | symmetric`` symmetry, plus a writer for round-tripping.
+
+The header and size line are read in Python; the entry body goes through
+numpy's C text parser in one call, which reads only the two index columns.
 """
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 from typing import TextIO, Union
 
@@ -21,6 +25,9 @@ from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 _HEADER_PREFIX = "%%MatrixMarket"
 _SUPPORTED_FIELDS = {"pattern", "real", "integer", "complex"}
 _SUPPORTED_SYMMETRY = {"general", "symmetric", "skew-symmetric"}
+_LOADTXT_NO_DATA = r"(loadtxt: input contained no data|Input line \d+ contained no data)"
+"""The two ``np.loadtxt`` warnings a valid body can raise (empty body;
+comment or blank lines counted against ``max_rows``)."""
 
 
 def read_matrix_market(source: Union[str, Path, TextIO]) -> BipartiteCSR:
@@ -66,26 +73,22 @@ def read_matrix_market(source: Union[str, Path, TextIO]) -> BipartiteCSR:
             f"declared {nnz} entries exceed the {n_rows}x{n_cols} matrix capacity"
         )
 
-    rows = np.empty(nnz, dtype=INDEX_DTYPE)
-    cols = np.empty(nnz, dtype=INDEX_DTYPE)
-    count = 0
-    for line in source:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        toks = stripped.split()
-        if len(toks) < 2:
-            raise GraphFormatError(f"malformed entry line: {stripped!r}")
-        if count >= nnz:
-            raise GraphFormatError(f"more than the declared {nnz} entries")
-        try:
-            rows[count] = int(toks[0]) - 1  # 1-based on disk
-            cols[count] = int(toks[1]) - 1
-        except (ValueError, OverflowError) as exc:
-            raise GraphFormatError(f"malformed entry line: {stripped!r}") from exc
-        count += 1
-    if count != nnz:
-        raise GraphFormatError(f"declared {nnz} entries but found {count}")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _LOADTXT_NO_DATA, UserWarning)
+            # One row past the declared count is enough to detect excess.
+            body = np.loadtxt(
+                source, dtype=INDEX_DTYPE, comments="%", usecols=(0, 1), ndmin=2,
+                max_rows=nnz + 1,
+            )
+    except ValueError as exc:
+        raise GraphFormatError(f"malformed entry line: {exc}") from exc
+    if body.shape[0] > nnz:
+        raise GraphFormatError(f"more than the declared {nnz} entries")
+    if body.shape[0] != nnz:
+        raise GraphFormatError(f"declared {nnz} entries but found {body.shape[0]}")
+    rows = body[:, 0] - 1  # 1-based on disk
+    cols = body[:, 1] - 1
     if nnz and (
         rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
     ):

@@ -126,15 +126,16 @@ class Matching:
 
     def is_consistent(self) -> bool:
         """mate_x and mate_y are mutual inverses and in range."""
-        for x in range(self.n_x):
-            y = self.mate_x[x]
-            if y != UNMATCHED and (y < 0 or y >= self.n_y or self.mate_y[y] != x):
-                return False
-        for y in range(self.n_y):
-            x = self.mate_y[y]
-            if x != UNMATCHED and (x < 0 or x >= self.n_x or self.mate_x[x] != y):
-                return False
-        return True
+        mate_x, mate_y = self.mate_x, self.mate_y
+        if np.any((mate_x < UNMATCHED) | (mate_x >= self.n_y)):
+            return False
+        if np.any((mate_y < UNMATCHED) | (mate_y >= self.n_x)):
+            return False
+        xs = np.flatnonzero(mate_x != UNMATCHED)
+        ys = np.flatnonzero(mate_y != UNMATCHED)
+        return bool(
+            np.array_equal(mate_y[mate_x[xs]], xs) and np.array_equal(mate_x[mate_y[ys]], ys)
+        )
 
     def copy(self) -> "Matching":
         return Matching(self.n_x, self.n_y, self.mate_x.copy(), self.mate_y.copy())

@@ -224,12 +224,21 @@ class Tracer:
         time. Children are merged as intervals, so overlap is not
         double-counted. A root without children (or with zero duration)
         scores 0.0 (or 1.0 for the degenerate zero-duration root).
+
+        By default the run's top-level span is scored: the longest closed
+        root recorded in this process that has children. A run can record
+        leaf roots beside it (``reorder_plan`` before it, ``reorder_invert``
+        after), and a cold plan can outlast the run, so neither the first
+        nor the longest root overall is necessarily the run.
         """
         if root is None:
-            roots = self.roots()
+            roots = [s for s in self.roots() if s.pid is None] or self.roots()
             if not roots:
                 return 0.0
-            root = roots[0]
+            parents = {s.parent_id for s in self.spans}
+            closed = [s for s in roots if not s.open]
+            runs = [s for s in closed if s.span_id in parents] or closed
+            root = max(runs, key=lambda s: s.duration) if runs else roots[0]
         if root.end is None:
             raise TelemetryError(f"span {root.name!r} is still open")
         total = root.duration

@@ -153,3 +153,20 @@ class TestTreeQueries:
 
     def test_coverage_no_roots(self):
         assert Tracer().coverage() == 0.0
+
+    def test_default_root_is_the_run_not_a_leading_leaf_root(self):
+        # reorder --auto records a childless plan root before the run; a
+        # cold plan can even outlast the run. The run root is scored.
+        tracer, clock = manual_tracer()
+        plan = tracer.start_span("reorder_plan")  # t=0
+        clock.now = 20.0
+        tracer.end_span(plan)
+        run = tracer.start_span("run")            # t=20
+        clock.now = 21.0
+        phase = tracer.start_span("phase")        # t=21
+        clock.now = 29.0
+        tracer.end_span(phase)
+        clock.now = 30.0
+        tracer.end_span(run)
+        assert tracer.coverage() == pytest.approx(tracer.coverage(run))
+        assert tracer.coverage() == pytest.approx(0.8)

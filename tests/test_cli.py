@@ -249,6 +249,16 @@ class TestTelemetryCommands:
                      "--out", str(out), "--min-coverage", "1.0"]) == 1
         assert "below the required" in capsys.readouterr().err
 
+    def test_trace_reorder_auto_scores_the_run_root(self, tmp_path, capsys):
+        # rmat at scale 0.3 clears REORDER_MIN_WORK, so auto plans hubsplit
+        # inline: a childless reorder_plan root precedes (and outlasts) the
+        # run root, and coverage must still score the run.
+        assert main(["trace", "rmat", "--scale", "0.3", "--reorder", "auto",
+                     "--out", str(tmp_path / "t.json"),
+                     "--min-coverage", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "reorder  : hubsplit" in out
+
     def test_trace_sidecar_outputs(self, tmp_path, capsys):
         import json
 
