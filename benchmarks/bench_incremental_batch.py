@@ -1,10 +1,12 @@
 """Batched vs per-edge incremental repair: the online daemon's core win.
 
-Per-edge repair pays one multi-source BFS per update (``_augment_once``
-seeded from every free X vertex); batched repair applies the whole batch
-structurally and then runs ``O(paths + 1)`` disjoint-path sweeps. On a
-1k-update batch the sweep count collapses from ~1000 to a handful, which
-is the latency headroom the online daemon's p99 SLO lives on.
+Per-edge repair (``add_edge``/``remove_edge``) pays one warm-started
+MS-BFS-Graft run, and one CSR snapshot, per update; batched repair
+(``apply_batch``) applies the whole batch structurally and then runs one
+warm-started MS-BFS-Graft, whose ``O(paths + 1)`` phases each augment a
+maximal set of disjoint paths. On a 1k-update batch the repair count
+collapses from ~1000 runs to one run of a handful of phases, which is the
+latency headroom the online daemon's p99 SLO lives on.
 
 The smoke target certifies both paths agree and records the speedup at a
 small scale on every bench run; the ``slow`` target rewrites the committed
@@ -103,7 +105,7 @@ def run_incremental_bench(n=1000, base_edges=4000, batch_size=1000,
         },
         "per_edge": {
             "best_seconds": per_edge,
-            "bfs_rounds": batch_size,  # one sweep per structural update
+            "bfs_rounds": batch_size,  # at least one repair per update
         },
         "batched": {
             "best_seconds": batched,
@@ -131,9 +133,8 @@ def render(doc):
 
 
 def test_batched_repair_smoke(benchmark):
-    # Below ~300 vertices the numpy-scalar bitset overhead per sweep eats
-    # the wall-clock win even though the sweep count still collapses, so
-    # the smoke scale starts where the asymptotics are visible.
+    # Small enough that the per-edge loop (one engine run per update)
+    # stays quick, large enough that batching's win is far above noise.
     doc = benchmark.pedantic(
         run_incremental_bench,
         kwargs={"n": 300, "base_edges": 1200, "batch_size": 400, "repeats": 2},

@@ -2,8 +2,10 @@
 
 A circuit-editing scenario: start from a structurally nonsingular system,
 delete and insert pattern entries one at a time, and watch the structural
-rank (maximum matching) update in O(one BFS) per edit instead of a full
-recompute — with a from-scratch MS-BFS-Graft run cross-checking every step.
+rank (maximum matching) update after each edit. An edit moves the rank by
+at most one, so the repair, an MS-BFS-Graft run warm-started from the
+previous maximum matching, needs one or two phases instead of a full
+recompute. A from-scratch MS-BFS-Graft run cross-checks every step.
 
 Run:  python examples/incremental_updates.py
 """

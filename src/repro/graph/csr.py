@@ -38,7 +38,7 @@ class BipartiteCSR:
 
     __slots__ = (
         "n_x", "n_y", "x_ptr", "x_adj", "y_ptr", "y_adj", "_adj_lists",
-        "_deg_x", "_deg_y",
+        "_deg_x", "_deg_y", "_edge_keys",
     )
 
     def __init__(
@@ -61,6 +61,7 @@ class BipartiteCSR:
         self._adj_lists = None  # lazy cache used by repro.matching._common
         self._deg_x = None  # lazy degree-vector caches (deg_x/deg_y props)
         self._deg_y = None
+        self._edge_keys = None
         # Freeze the arrays: algorithms share graphs across runs and threads,
         # so accidental mutation would be a hard-to-find bug.
         for arr in (self.x_ptr, self.x_adj, self.y_ptr, self.y_adj):
@@ -109,6 +110,20 @@ class BipartiteCSR:
             deg.setflags(write=False)
             self._deg_y = deg
         return self._deg_y
+
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """Cached, read-only row-major edge keys ``x * n_y + y``.
+
+        CSR rows are sorted, so the keys are strictly increasing and one
+        ``searchsorted`` answers edge membership for a whole batch of pairs.
+        """
+        if self._edge_keys is None:
+            xs = np.repeat(np.arange(self.n_x, dtype=INDEX_DTYPE), self.deg_x)
+            keys = xs * np.int64(self.n_y) + self.x_adj
+            keys.setflags(write=False)
+            self._edge_keys = keys
+        return self._edge_keys
 
     def degree_x(self, x: int | None = None) -> np.ndarray | int:
         """Degree of X vertex ``x``, or the full degree vector if ``None``."""
@@ -172,23 +187,16 @@ class BipartiteCSR:
             raise GraphError("x_adj contains out-of-range Y indices")
         if self.y_adj.size and (self.y_adj.min() < 0 or self.y_adj.max() >= self.n_x):
             raise GraphError("y_adj contains out-of-range X indices")
-        for x in range(self.n_x):
-            row = self.neighbors_x(x)
-            if row.shape[0] > 1 and np.any(np.diff(row) <= 0):
-                raise GraphError(f"adjacency row of x={x} is not strictly increasing")
-        for y in range(self.n_y):
-            row = self.neighbors_y(y)
-            if row.shape[0] > 1 and np.any(np.diff(row) <= 0):
-                raise GraphError(f"adjacency row of y={y} is not strictly increasing")
-        # The two directions must describe the same edge set.
-        xs, ys = self.edge_arrays()
-        ys2 = np.repeat(np.arange(self.n_y, dtype=INDEX_DTYPE), np.diff(self.y_ptr))
-        xs2 = self.y_adj
-        order1 = np.lexsort((ys, xs))
-        order2 = np.lexsort((ys2, xs2))
-        if not (
-            np.array_equal(xs[order1], xs2[order2]) and np.array_equal(ys[order1], ys2[order2])
-        ):
+        for name, ptr, adj in (("x", self.x_ptr, self.x_adj), ("y", self.y_ptr, self.y_adj)):
+            row = _first_unsorted_row(ptr, adj)
+            if row is not None:
+                raise GraphError(f"adjacency row of {name}={row} is not strictly increasing")
+        # The two directions must describe the same edge set: compare the
+        # row-major keys x * n_y + y built from each side. The x-side keys
+        # are already sorted (rows checked strictly increasing above).
+        ys = np.repeat(np.arange(self.n_y, dtype=INDEX_DTYPE), self.deg_y)
+        y_side = np.sort(self.y_adj * np.int64(self.n_y) + ys)
+        if not np.array_equal(self.edge_keys, y_side):
             raise GraphError("x-side and y-side adjacency describe different edge sets")
 
     # ------------------------------------------------------------------ #
@@ -219,3 +227,20 @@ class BipartiteCSR:
             f"BipartiteCSR(n_x={self.n_x}, n_y={self.n_y}, nnz={self.nnz}, "
             f"m={self.num_directed_edges})"
         )
+
+
+def _first_unsorted_row(ptr: np.ndarray, adj: np.ndarray) -> int | None:
+    """First row whose adjacency is not strictly increasing, or ``None``.
+
+    One ``np.diff(adj) <= 0`` over the whole adjacency array; comparisons
+    that straddle a row start (``adj[ptr[r] - 1]`` vs ``adj[ptr[r]]``) are
+    masked out, and ``searchsorted`` maps the first remaining violation back
+    to its row (``side="right"`` skips over empty rows sharing that start).
+    """
+    bad = np.diff(adj) <= 0
+    starts = ptr[1:-1]
+    bad[starts[(starts > 0) & (starts < adj.shape[0])] - 1] = False
+    hits = np.flatnonzero(bad)
+    if not hits.size:
+        return None
+    return int(np.searchsorted(ptr, hits[0], side="right")) - 1

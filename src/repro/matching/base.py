@@ -177,10 +177,29 @@ class MatchResult:
         return self.matching.cardinality
 
 
+def pairs_are_edges(graph: BipartiteCSR, matching: Matching) -> bool:
+    """Every matched pair ``(x, mate_x[x])`` is a graph edge.
+
+    One ``searchsorted`` of the pairs' keys into the graph's sorted
+    row-major :attr:`~repro.graph.csr.BipartiteCSR.edge_keys`. Assumes the
+    mates are in range (see :meth:`Matching.is_consistent`).
+    """
+    xs = np.flatnonzero(matching.mate_x != UNMATCHED)
+    if not xs.size:
+        return True
+    keys = graph.edge_keys
+    wanted = xs * np.int64(graph.n_y) + matching.mate_x[xs]
+    pos = np.searchsorted(keys, wanted)
+    return bool(np.all(pos < keys.size)) and bool(np.array_equal(keys[pos], wanted))
+
+
 def init_matching(graph: BipartiteCSR, initial: Matching | None) -> Matching:
     """Copy-or-create the working matching for an algorithm run.
 
-    Algorithms never mutate the caller's matching in place.
+    Algorithms never mutate the caller's matching in place. An initial
+    matching must be valid for ``graph`` — mates in range and mutually
+    inverse, every pair an edge — or :class:`~repro.errors.MatchingError`
+    is raised before any engine state is built.
     """
     if initial is None:
         return Matching.empty(graph)
@@ -189,4 +208,11 @@ def init_matching(graph: BipartiteCSR, initial: Matching | None) -> Matching:
             f"initial matching sized ({initial.n_x}, {initial.n_y}) does not fit "
             f"graph ({graph.n_x}, {graph.n_y})"
         )
+    if not initial.is_consistent():
+        raise MatchingError(
+            "initial matching is inconsistent: mate_x and mate_y must be "
+            "in-range mutual inverses"
+        )
+    if not pairs_are_edges(graph, initial):
+        raise MatchingError("initial matching pairs vertices that share no edge")
     return initial.copy()

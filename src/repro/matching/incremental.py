@@ -1,55 +1,44 @@
 """Incremental (dynamic) maximum matching.
 
 Downstream users of BTF/structural-rank pipelines often edit the matrix
-pattern one entry at a time (circuit edits, symbolic factorisation updates)
-and need the maximum matching maintained without recomputing from scratch.
-Classic observation: inserting an edge can raise the matching number by at
-most one, and deleting an edge can lower it by at most one — so one
-augmenting-path search per update suffices.
+pattern a few entries at a time (circuit edits, symbolic factorisation
+updates) and need the maximum matching maintained without recomputing it
+from scratch. The online matching daemon (:mod:`repro.service.online`)
+streams such edits in batches.
 
-:class:`IncrementalMatcher` keeps an adjacency-set representation (the CSR
-graph is immutable by design) plus a matching, and repairs optimality after
-each update with a single alternating BFS. Every public operation keeps
-the invariant "current matching is maximum for the current graph", which
-the property tests check against from-scratch recomputation after random
-update sequences.
+:class:`IncrementalMatcher` stores the graph as one sorted ``int64`` array
+of row-major edge keys ``x * n_y + y`` (the CSR graph is immutable by
+design) plus numpy ``mate_x``/``mate_y`` arrays. :meth:`IncrementalMatcher.
+apply_batch` applies a batch of inserts/deletes structurally, in order —
+deleting a matched edge unmatches it, so the matching stays valid — and
+splices the batch's net changes into the key array. It then repairs
+optimality with one warm-started :func:`~repro.core.driver.ms_bfs_graft`
+run from the surviving matching. MS-BFS-Graft runs from any valid initial
+matching (the paper starts it from Karp-Sipser, Section II-B); here it
+starts from a matching that was maximum before the batch, so each phase is
+one multi-source BFS that augments a maximal set of vertex-disjoint paths
+and a batch of B updates costs ``O(paths + 1)`` phases instead of ``O(B)``
+searches — the regime the online augmenting-path literature (PAPERS.md:
+*A Tight Bound for Shortest Augmenting Paths on Trees*) studies.
 
-For streaming workloads (the online matching daemon in
-:mod:`repro.service.online`) the per-update repair is too expensive: every
-single-edge update pays one multi-source BFS seeded from *every* free X
-vertex. :meth:`IncrementalMatcher.apply_batch` instead applies a whole
-batch of inserts/deletes structurally and then repairs once, reusing the
-paper's MS-BFS idea: each sweep is one multi-source alternating BFS that
-extracts a maximal set of *vertex-disjoint* augmenting paths, and sweeps
-repeat until none remains. A batch of B updates therefore costs
-``O(paths + 1)`` graph sweeps instead of ``O(B)`` — the win the online
-augmenting-path literature (PAPERS.md: *A Tight Bound for Shortest
-Augmenting Paths on Trees*) predicts for this regime.
-
-Correctness note on seeding: a first repair round runs seeded only from
-free X vertices the batch touched (endpoints of inserted edges, X vertices
-freed by deleting a matched edge) — that is where repairs concentrate.
-Seeding alone is *not* sufficient, though: an inserted edge can sit in the
-middle of an augmenting path whose free endpoints the batch never touched
-(and deleting a matched edge frees a Y vertex that an untouched free X may
-now reach). The repair loop therefore always finishes with global sweeps
-from every free X vertex until one finds nothing, which by Berge's theorem
-certifies the matching maximum. The differential suite in
-``tests/matching/test_incremental_batch.py`` checks this against
-from-scratch :func:`~repro.core.driver.ms_bfs_graft` recomputation.
+There is no private alternating search here: the repair is the engines'
+phase loop, and its last (empty) phase certifies the result maximum by
+Berge's theorem. Every public operation keeps the invariant "current
+matching is maximum for the current graph", which the differential tests
+check against scipy on an independent copy of the edge set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bitset import bitset_set, bitset_test, bitset_words
+from repro.core.driver import ms_bfs_graft
 from repro.errors import MatchingError
-from repro.graph.builder import from_edges
-from repro.graph.csr import BipartiteCSR
+from repro.graph.builder import _from_edge_arrays
+from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.matching.base import UNMATCHED, Matching
 
 INSERT = "insert"
@@ -64,10 +53,10 @@ _OP_ALIASES = {
 class BatchRepairStats:
     """What one :meth:`IncrementalMatcher.apply_batch` call did.
 
-    ``bfs_rounds`` counts multi-source BFS sweeps (including the final
-    empty sweep that certifies maximality) — the batched-repair cost unit
-    the benchmark compares against one sweep *per update* in the per-edge
-    path.
+    ``augmented`` and ``bfs_rounds`` are the repair run's
+    ``counters.augmentations`` and ``counters.phases``: one round is one
+    MS-BFS-Graft phase (a multi-source BFS sweep), including the final
+    empty phase that certifies maximality.
     """
 
     inserted: int
@@ -95,27 +84,16 @@ class IncrementalMatcher:
             raise MatchingError(f"negative vertex counts: ({n_x}, {n_y})")
         self.n_x = n_x
         self.n_y = n_y
-        self.adj_x: List[Set[int]] = [set() for _ in range(n_x)]
-        self.adj_y: List[Set[int]] = [set() for _ in range(n_y)]
-        self.mate_x = [UNMATCHED] * n_x
-        self.mate_y = [UNMATCHED] * n_y
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
+        self._keys = np.empty(0, dtype=INDEX_DTYPE)
+        self.mate_x = np.full(n_x, UNMATCHED, dtype=INDEX_DTYPE)
+        self.mate_y = np.full(n_y, UNMATCHED, dtype=INDEX_DTYPE)
 
     @classmethod
     def from_graph(cls, graph: BipartiteCSR) -> "IncrementalMatcher":
         """Start from an existing graph (matching computed from scratch)."""
         matcher = cls(graph.n_x, graph.n_y)
-        from repro.core.driver import ms_bfs_graft
-
-        result = ms_bfs_graft(graph, emit_trace=False)
-        for x, y in graph.edges():
-            matcher.adj_x[x].add(y)
-            matcher.adj_y[y].add(x)
-        matcher.mate_x = result.matching.mate_x.tolist()
-        matcher.mate_y = result.matching.mate_y.tolist()
+        matcher._keys = graph.edge_keys
+        matcher._adopt(ms_bfs_graft(graph, emit_trace=False).matching)
         return matcher
 
     # ------------------------------------------------------------------ #
@@ -124,81 +102,46 @@ class IncrementalMatcher:
 
     @property
     def cardinality(self) -> int:
-        return sum(1 for m in self.mate_x if m != UNMATCHED)
+        return int(np.count_nonzero(self.mate_x != UNMATCHED))
+
+    @property
+    def edge_count(self) -> int:
+        return int(self._keys.size)
 
     def has_edge(self, x: int, y: int) -> bool:
         self._check(x, y)
-        return y in self.adj_x[x]
+        return bool(self._contains(np.array([x * self.n_y + y]))[0])
 
     def matching(self) -> Matching:
         """Snapshot of the current matching."""
-        return Matching(
-            self.n_x,
-            self.n_y,
-            np.asarray(self.mate_x, dtype=np.int64),
-            np.asarray(self.mate_y, dtype=np.int64),
-        )
+        return Matching(self.n_x, self.n_y, self.mate_x.copy(), self.mate_y.copy())
+
+    def _edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        return np.divmod(self._keys, max(self.n_y, 1))
 
     def edge_list(self) -> List[Tuple[int, int]]:
-        """Canonical (sorted) edge list of the current graph.
-
-        Python-set iteration order depends on each set's insert/delete
-        *history* (and, in general, on the hash seed), so the raw adjacency
-        sets must never leak into anything persisted or hashed — snapshots
-        and content-addressed cache keys go through this sorted view.
-        """
-        return [(x, y) for x in range(self.n_x) for y in sorted(self.adj_x[x])]
+        """Canonical edge list of the current graph, sorted by ``(x, y)``."""
+        xs, ys = self._edge_arrays()
+        return list(zip(xs.tolist(), ys.tolist()))
 
     def graph(self) -> BipartiteCSR:
-        """Snapshot of the current graph as an immutable CSR.
-
-        Adjacency is sorted before :func:`from_edges` so two matchers
-        holding the same edge set produce bit-identical snapshots
-        regardless of how their adjacency sets were built up.
-        """
-        return from_edges(self.n_x, self.n_y, self.edge_list())
+        """Snapshot of the current graph as an immutable (validated) CSR."""
+        xs, ys = self._edge_arrays()
+        return _from_edge_arrays(self.n_x, self.n_y, xs, ys)
 
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
 
     def add_edge(self, x: int, y: int) -> bool:
-        """Insert edge (x, y); returns True if the matching grew.
-
-        Insertion raises the matching number by at most one, and any new
-        augmenting path must use the new edge — possibly in its *middle*
-        (both endpoints matched, reached through their mates), so freeness
-        of x or y is not required. One multi-source alternating BFS decides.
-        """
-        self._check(x, y)
-        if y in self.adj_x[x]:
-            return False
-        self.adj_x[x].add(y)
-        self.adj_y[y].add(x)
-        return self._augment_once()
+        """Insert edge (x, y); returns True if the matching grew."""
+        before = self.cardinality
+        return self.apply_batch([(INSERT, x, y)]).cardinality > before
 
     def remove_edge(self, x: int, y: int) -> bool:
-        """Delete edge (x, y); returns True if the matching shrank.
-
-        If the edge was matched, unmatch it and try to re-augment from the
-        freed X endpoint; failing that the matching number genuinely drops.
-        """
-        self._check(x, y)
-        if y not in self.adj_x[x]:
-            return False
-        self.adj_x[x].discard(y)
-        self.adj_y[y].discard(x)
-        if self.mate_x[x] != y:
-            return False  # unmatched edge: matching untouched, still maximum
-        self.mate_x[x] = UNMATCHED
-        self.mate_y[y] = UNMATCHED
-        # The shrunken matching is maximum iff no augmenting path exists
-        # now; one search restores optimality either way.
-        return not self._augment_once()
-
-    # ------------------------------------------------------------------ #
-    # batched updates
-    # ------------------------------------------------------------------ #
+        """Delete edge (x, y); returns True if the matching shrank."""
+        before = self.cardinality
+        return self.apply_batch([(DELETE, x, y)]).cardinality < before
 
     def apply_batch(
         self,
@@ -209,24 +152,24 @@ class IncrementalMatcher:
         """Apply a batch of updates, then repair optimality once.
 
         ``updates`` is an iterable of ``(op, x, y)`` with ``op`` one of
-        ``"insert"``/``"+"``/``"add"`` or ``"delete"``/``"-"``/``"remove"``.
-        Updates are applied structurally *in order* (so a duplicate
-        insert-then-delete of the same edge within one batch nets out to
-        absent), matched deleted edges are unmatched, and a single repair
-        phase then restores maximality: a seeded fast round from the free X
-        vertices the batch touched, followed by global multi-source sweeps
-        until one finds no augmenting path.
+        ``"insert"``/``"+"``/``"add"`` or ``"delete"``/``"-"``/``"remove"``/
+        ``"del"``. Updates apply *in order*: an insert-then-delete of one
+        edge nets out to absent, and an op that finds its edge already
+        present (insert) or absent (delete) is counted as skipped. Deleting
+        a matched edge unmatches it when that op applies (``freed``). The
+        whole batch is checked before anything changes, so a malformed
+        entry raises :class:`~repro.errors.MatchingError` with the graph
+        untouched.
 
         ``deadline`` is an optional cooperative :class:`~repro.core.options.
-        Deadline`; it is checked between BFS sweeps (the natural preemption
-        point, mirroring the engines' phase boundaries). On expiry the
-        structural updates are already applied and the matching is valid
-        but possibly non-maximum — callers retrying after
-        :class:`~repro.errors.DeadlineExceeded` should re-repair with an
-        empty batch.
+        Deadline`, checked by the repair at every phase boundary. On expiry
+        the structural updates are applied and the matching is the valid
+        (possibly non-maximum) one the repair started from; callers retrying
+        after :class:`~repro.errors.DeadlineExceeded` re-repair with
+        :meth:`repair`.
         """
-        inserted = deleted = skipped = freed = 0
-        touched: Set[int] = set()
+        ops: List[bool] = []
+        keys: List[int] = []
         for entry in updates:
             try:
                 op_raw, x, y = entry
@@ -241,30 +184,44 @@ class IncrementalMatcher:
                 )
             x, y = int(x), int(y)
             self._check(x, y)
-            if op == INSERT:
-                if y in self.adj_x[x]:
-                    skipped += 1
-                    continue
-                self.adj_x[x].add(y)
-                self.adj_y[y].add(x)
+            ops.append(op == INSERT)
+            keys.append(x * self.n_y + y)
+
+        present = self._contains(np.asarray(keys, dtype=INDEX_DTYPE))
+        inserted = deleted = skipped = freed = 0
+        state: Dict[int, bool] = {}
+        for is_insert, key, was in zip(ops, keys, present.tolist()):
+            if state.get(key, was) == is_insert:
+                skipped += 1
+                continue
+            state[key] = is_insert
+            if is_insert:
                 inserted += 1
-                touched.add(x)
-            else:
-                if y not in self.adj_x[x]:
-                    skipped += 1
-                    continue
-                self.adj_x[x].discard(y)
-                self.adj_y[y].discard(x)
-                deleted += 1
-                if self.mate_x[x] == y:
-                    self.mate_x[x] = UNMATCHED
-                    self.mate_y[y] = UNMATCHED
-                    freed += 1
-                touched.add(x)
-        augmented, rounds = self._repair(touched, deadline=deadline)
+                continue
+            deleted += 1
+            x, y = divmod(key, self.n_y)
+            if self.mate_x[x] == y:
+                self.mate_x[x] = UNMATCHED
+                self.mate_y[y] = UNMATCHED
+                freed += 1
+
+        if state:
+            net = np.fromiter(state, dtype=INDEX_DTYPE, count=len(state))
+            now = np.fromiter(state.values(), dtype=bool, count=len(state))
+            was = self._contains(net)
+            drops = net[was & ~now]
+            self._keys = np.delete(self._keys, np.searchsorted(self._keys, drops))
+            adds = np.sort(net[now & ~was])
+            self._keys = np.insert(self._keys, np.searchsorted(self._keys, adds), adds)
+
+        result = ms_bfs_graft(
+            self.graph(), self.matching(), emit_trace=False, deadline=deadline
+        )
+        self._adopt(result.matching)
         return BatchRepairStats(
             inserted=inserted, deleted=deleted, skipped=skipped, freed=freed,
-            augmented=augmented, bfs_rounds=rounds,
+            augmented=result.counters.augmentations,
+            bfs_rounds=result.counters.phases,
             cardinality=self.cardinality,
         )
 
@@ -276,142 +233,16 @@ class IncrementalMatcher:
     # internals
     # ------------------------------------------------------------------ #
 
+    def _adopt(self, matching: Matching) -> None:
+        self.mate_x, self.mate_y = matching.mate_x, matching.mate_y
+
+    def _contains(self, keys: np.ndarray) -> np.ndarray:
+        """Membership of each edge key in the sorted key array."""
+        pos = np.searchsorted(self._keys, keys)
+        hit = pos < self._keys.size
+        hit[hit] = self._keys[pos[hit]] == keys[hit]
+        return hit
+
     def _check(self, x: int, y: int) -> None:
         if not (0 <= x < self.n_x and 0 <= y < self.n_y):
             raise MatchingError(f"edge ({x}, {y}) out of range")
-
-    def _augment_once(self) -> bool:
-        """One multi-source alternating BFS; augments and returns True on
-        success. Because the matching was maximum before the last update,
-        at most one augmenting path can exist, so a single pass suffices.
-
-        Visited Y vertices are tracked in the same bit-packed uint64 words
-        the engines use (:mod:`repro.core.bitset`), not a per-vertex hash
-        set: the packed mirror is the representation every other BFS in the
-        repo consults, its footprint is a fixed ``ceil(n_y / 64)`` words
-        per repair instead of a dict that rehashes as the frontier grows,
-        and testing it here keeps the incremental path covered by the same
-        visited semantics the kernel differential suite certifies.
-        """
-        visited = bitset_words(self.n_y)
-        parent = np.full(self.n_y, UNMATCHED, dtype=np.int64)
-        frontier = [x for x in range(self.n_x) if self.mate_x[x] == UNMATCHED]
-        end_y = -1
-        while frontier and end_y == -1:
-            next_frontier: List[int] = []
-            for x in frontier:
-                for y in self.adj_x[x]:
-                    if bitset_test(visited, y):
-                        continue
-                    bitset_set(visited, y)
-                    parent[y] = x
-                    mate = self.mate_y[y]
-                    if mate == UNMATCHED:
-                        end_y = y
-                        break
-                    next_frontier.append(mate)
-                if end_y != -1:
-                    break
-            frontier = next_frontier
-        if end_y == -1:
-            return False
-        y = end_y
-        while True:
-            x = int(parent[y])
-            prev = self.mate_x[x]
-            self.mate_x[x] = y
-            self.mate_y[y] = x
-            if prev == UNMATCHED:
-                return True
-            y = prev
-
-    def _repair(
-        self, touched: Set[int], *, deadline: Optional[object] = None
-    ) -> Tuple[int, int]:
-        """Restore maximality after a batch; returns ``(augmented, sweeps)``.
-
-        Round one is seeded from the batch-touched free X vertices only —
-        cheap when the batch perturbs a small region. The loop then runs
-        global sweeps (every free X vertex) to fixpoint, which is what
-        makes the result *provably* maximum: inserted edges can sit mid-path
-        between untouched free endpoints, so touched-only seeding alone
-        would under-match (see the module docstring).
-        """
-        augmented = 0
-        rounds = 0
-        seeds = sorted(x for x in touched if self.mate_x[x] == UNMATCHED)
-        while seeds:
-            if deadline is not None:
-                deadline.check("incremental batch repair (seeded sweep)")
-            rounds += 1
-            found = self._augment_sweep(seeds)
-            augmented += found
-            if not found:
-                break
-            seeds = [x for x in seeds if self.mate_x[x] == UNMATCHED]
-        while True:
-            if deadline is not None:
-                deadline.check("incremental batch repair (global sweep)")
-            rounds += 1
-            found = self._augment_sweep(None)
-            augmented += found
-            if not found:
-                return augmented, rounds
-
-    def _augment_sweep(self, seeds: Optional[Sequence[int]]) -> int:
-        """One multi-source alternating BFS; augments a maximal set of
-        vertex-disjoint augmenting paths and returns how many.
-
-        ``seeds`` restricts the BFS sources (they must be free X vertices);
-        ``None`` seeds from every free X vertex. Unlike
-        :meth:`_augment_once` the sweep does not stop at the first free Y
-        reached — it records parents for the whole reachable region, then
-        greedily extracts disjoint paths from every free Y endpoint found,
-        skipping endpoints whose walk-back runs into an X vertex already
-        flipped this sweep (those are re-found by the next sweep).
-        """
-        visited = bitset_words(self.n_y)
-        parent = np.full(self.n_y, UNMATCHED, dtype=np.int64)
-        if seeds is None:
-            frontier = [x for x in range(self.n_x) if self.mate_x[x] == UNMATCHED]
-        else:
-            frontier = list(seeds)
-        free_ys: List[int] = []
-        while frontier:
-            next_frontier: List[int] = []
-            for x in frontier:
-                for y in self.adj_x[x]:
-                    if bitset_test(visited, y):
-                        continue
-                    bitset_set(visited, y)
-                    parent[y] = x
-                    mate = self.mate_y[y]
-                    if mate == UNMATCHED:
-                        free_ys.append(y)
-                    else:
-                        next_frontier.append(mate)
-            frontier = next_frontier
-        augmented = 0
-        used_x: Set[int] = set()
-        for end_y in free_ys:
-            path: List[Tuple[int, int]] = []
-            y = end_y
-            ok = True
-            while True:
-                x = int(parent[y])
-                if x in used_x:
-                    ok = False
-                    break
-                path.append((x, y))
-                prev = int(self.mate_x[x])
-                if prev == UNMATCHED:
-                    break
-                y = prev
-            if not ok:
-                continue
-            for x, y in path:
-                used_x.add(x)
-                self.mate_x[x] = y
-                self.mate_y[y] = x
-            augmented += 1
-        return augmented

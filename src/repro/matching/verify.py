@@ -8,7 +8,8 @@ the next X frontier, one numpy pass per level — yields the reach sets
 every check from the same two arrays:
 
 * validity: the mate arrays are mutual inverses and in range, and every
-  matched pair is an edge (one ``searchsorted`` over row-major edge keys);
+  matched pair is an edge (one ``searchsorted`` over the graph's row-major
+  edge keys);
 * Berge: the matching is maximum iff no free Y vertex is reached;
 * König: unreached matched X plus reached Y is a vertex cover of size
   ``|M|`` (:func:`koenig_vertex_cover`), and every edge is checked covered;
@@ -27,25 +28,8 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import VerificationError
-from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
-from repro.matching.base import UNMATCHED, Matching
-
-
-def _pairs_are_edges(graph: BipartiteCSR, matching: Matching) -> bool:
-    """Every matched pair ``(x, mate_x[x])`` is a graph edge.
-
-    CSR rows are sorted, so the row-major keys ``x * n_y + y`` are sorted
-    and one ``searchsorted`` answers every pair at once.
-    """
-    xs = np.flatnonzero(matching.mate_x != UNMATCHED)
-    if not xs.size:
-        return True
-    n_y = np.int64(graph.n_y)
-    keys = np.repeat(np.arange(graph.n_x, dtype=INDEX_DTYPE), graph.deg_x) * n_y
-    keys += graph.x_adj
-    wanted = xs * n_y + matching.mate_x[xs]
-    pos = np.searchsorted(keys, wanted)
-    return bool(np.all(pos < keys.size)) and bool(np.array_equal(keys[pos], wanted))
+from repro.graph.csr import BipartiteCSR
+from repro.matching.base import UNMATCHED, Matching, pairs_are_edges
 
 
 def is_valid_matching(graph: BipartiteCSR, matching: Matching) -> bool:
@@ -54,7 +38,7 @@ def is_valid_matching(graph: BipartiteCSR, matching: Matching) -> bool:
         return False
     if not matching.is_consistent():
         return False
-    return _pairs_are_edges(graph, matching)
+    return pairs_are_edges(graph, matching)
 
 
 def assert_valid_matching(graph: BipartiteCSR, matching: Matching) -> None:

@@ -6,14 +6,14 @@ daemon that holds graphs in memory as :class:`~repro.service.sessions.
 Session` objects, absorbs edge insert/delete batches over a line-delimited
 JSON protocol (:mod:`repro.service.protocol`) on a local Unix socket, and
 repairs optimality with :meth:`~repro.matching.incremental.
-IncrementalMatcher.apply_batch` — one batched multi-source repair per
-request instead of one BFS per edge.
+IncrementalMatcher.apply_batch` — one warm-started MS-BFS-Graft repair
+per request instead of one search per edge.
 
 The daemon degrades the same way the batch executor does:
 
 * every ``update``/``match`` runs under a cooperative
   :class:`~repro.core.options.Deadline` (per-request override or server
-  default), checked between repair sweeps; expiry maps to
+  default), checked at every repair phase boundary; expiry maps to
   ``error.kind == "deadline"``;
 * handler failures are classified through the retry taxonomy
   (:func:`~repro.service.retry.classify_failure`) and reported to the
@@ -378,7 +378,7 @@ class MatchingDaemon:
             "session": session.name,
             "cardinality": matcher.cardinality,
         }
-        if request.payload.get("verify"):
+        if request.payload.get("verify", True):
             verify_maximum(matcher.graph(), matcher.matching())
             result["verified"] = True
         if request.payload.get("pairs"):
@@ -575,7 +575,7 @@ class OnlineClient:
             fields["deadline_seconds"] = deadline_seconds
         return self.request("update", session, **fields)
 
-    def match(self, session: str, *, pairs: bool = False, verify: bool = False) -> Dict[str, Any]:
+    def match(self, session: str, *, pairs: bool = False, verify: bool = True) -> Dict[str, Any]:
         return self.request("match", session, pairs=pairs, verify=verify)
 
     def stats(self, session: Optional[str] = None) -> Dict[str, Any]:

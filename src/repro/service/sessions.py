@@ -75,7 +75,7 @@ class Session:
             "session": self.name,
             "n_x": m.n_x,
             "n_y": m.n_y,
-            "edges": sum(len(a) for a in m.adj_x),
+            "edges": m.edge_count,
             "cardinality": m.cardinality,
             **self.stats.to_dict(),
         }

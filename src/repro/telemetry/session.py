@@ -364,7 +364,7 @@ class Telemetry(NullTelemetry):
         if n:
             self.metrics.counter(
                 "repro_online_repair_sweeps_total",
-                "Multi-source BFS repair sweeps run by update requests",
+                "MS-BFS-Graft repair phases run by update requests",
             ).inc(int(n))
 
     def count_session_updates(self, session: str, n: int) -> None:

@@ -129,15 +129,14 @@ class TestAlwaysMaximumInvariant:
 
 
 class TestPackedVisitedRepairBFS:
-    """Regression tests for the repair BFS's packed ``visited_words`` mirror.
+    """Regression tests pinning repair across packed visited-word boundaries.
 
-    The repair BFS used to track visited Y vertices in a per-call dict; it
-    now consults the same bit-packed uint64 words as the engines
-    (:mod:`repro.core.bitset`). These cases pin the semantics the packed
-    representation must preserve: first-visit-wins parenting across shared
-    words, vertices on both sides of a 64-bit word boundary, and exact
-    agreement with from-scratch recomputation on instances big enough that
-    many Y indices hash into the same word.
+    The repair is a warm-started MS-BFS-Graft run, whose engines track
+    visited Y vertices in bit-packed uint64 words (:mod:`repro.core.bitset`).
+    These cases pin the semantics that representation must preserve:
+    first-visit-wins parenting across shared words, vertices on both sides
+    of a 64-bit word boundary, and exact agreement with from-scratch
+    recomputation on instances big enough that many Y indices share a word.
     """
 
     def test_shared_word_first_visit_wins(self):
@@ -163,14 +162,11 @@ class TestPackedVisitedRepairBFS:
         m = IncrementalMatcher(n, n)
         for i in (62, 63, 64, 65):
             assert m.add_edge(i, i) is True
-        # Chain across the boundary: free x61 -> y63 -> mate x63 -> y64 ...
-        m.adj_x[61].add(63)
-        m.adj_y[63].add(61)
-        m.adj_x[63].add(64)
-        m.adj_y[64].add(63)
-        m.adj_x[64].add(66)
-        m.adj_y[66].add(64)
-        assert m._augment_once() is True
+        # Chain across the boundary: free x61 -> y63 -> mate x63 -> y64
+        # -> mate x64 -> free y66, inserted as one batch.
+        stats = m.apply_batch([("insert", 61, 63), ("insert", 63, 64),
+                               ("insert", 64, 66)])
+        assert stats.augmented == 1
         assert m.cardinality == 5
         verify_maximum(m.graph(), m.matching())
 

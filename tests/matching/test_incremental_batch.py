@@ -1,19 +1,25 @@
-"""Batched repair: differential certification against from-scratch MS-BFS-Graft.
+"""Batched repair: differential certification of :meth:`apply_batch`.
 
 The online daemon's whole correctness story rests on
 :meth:`IncrementalMatcher.apply_batch` producing a *maximum* matching after
-arbitrary insert/delete batches. Every test here certifies cardinality
-against a from-scratch :func:`~repro.core.driver.ms_bfs_graft` run on the
-same graph and validates the matching itself with
-:func:`~repro.matching.verify.verify_maximum` (feasibility + Berge).
+arbitrary insert/delete batches. The repair is itself a warm-started
+:func:`~repro.core.driver.ms_bfs_graft` run, so the from-scratch
+MS-BFS-Graft comparison below is only a consistency check; the oracle that
+shares no code with it is :class:`TestScipyReferenceModel`, which replays
+every batch on its own edge set, counts the batch statistics with a dict
+model, and compares cardinalities with scipy's Hopcroft–Karp. Every
+matching is also checked with :func:`~repro.matching.verify.verify_maximum`.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from repro.core.driver import ms_bfs_graft
 from repro.core.options import Deadline
 from repro.errors import DeadlineExceeded, MatchingError
+from repro.graph.builder import from_edges
 from repro.graph.generators import random_bipartite
 from repro.matching.incremental import BatchRepairStats, IncrementalMatcher
 from repro.matching.verify import verify_maximum
@@ -192,9 +198,10 @@ class TestDifferential:
 class TestSweepEconomics:
     def test_large_batch_needs_few_sweeps(self):
         # The point of batching: a 1000-update batch repairs in a handful
-        # of BFS sweeps, not one per update. The bound here is generous
-        # (paths + seeded rounds + 2 certifying sweeps), the bench record
-        # in benchmarks/BENCH_incremental.json tracks the actual ratio.
+        # of MS-BFS-Graft phases, not one search per update. The bound here
+        # is generous (every augmenting phase finds at least one path, plus
+        # the certifying empty phase); benchmarks/BENCH_incremental.json
+        # tracks the actual ratio.
         rng = np.random.default_rng(11)
         n = 200
         m = IncrementalMatcher(n, n)
@@ -229,20 +236,18 @@ class TestDeadline:
 
 class TestDeterministicSnapshots:
     def test_edge_list_independent_of_set_history(self):
-        # Python small-int set iteration order depends on insert/delete
-        # HISTORY (e.g. {8, 0} built as add(8),add(0) vs add(0),add(8)
-        # iterate differently once the 8-slot table collides). graph() used
-        # to feed raw set order into from_edges, so two matchers holding
-        # identical edge sets could hash to different snapshot keys.
+        # Two matchers reaching one edge set through different insert
+        # orders (the orders that once made Python-set iteration, and so
+        # snapshot keys, history-dependent) must expose identical views.
         a = IncrementalMatcher(1, 16)
         for y in (8, 0, 1, 9):
             a.apply_batch([("insert", 0, y)])
         b = IncrementalMatcher(1, 16)
         for y in (0, 1, 9, 8):
             b.apply_batch([("insert", 0, y)])
-        # Same edge set, different set-build histories.
-        assert a.adj_x[0] == b.adj_x[0]
         assert a.edge_list() == b.edge_list() == [(0, 0), (0, 1), (0, 8), (0, 9)]
+        assert a.graph() == b.graph()
+        assert np.array_equal(a.graph().y_adj, b.graph().y_adj)
 
     def test_graph_snapshots_bit_identical_across_histories(self):
         rng = np.random.default_rng(21)
@@ -261,3 +266,102 @@ class TestDeterministicSnapshots:
         assert np.array_equal(ga.x_adj, gb.x_adj)
         assert np.array_equal(ga.y_ptr, gb.y_ptr)
         assert np.array_equal(ga.y_adj, gb.y_adj)
+
+
+def scipy_cardinality(n_x, n_y, edges):
+    """Maximum matching size of an edge set, by scipy's Hopcroft-Karp."""
+    if not edges:
+        return 0
+    xs, ys = zip(*edges)
+    matrix = sp.csr_matrix(
+        (np.ones(len(xs), dtype=np.int8), (xs, ys)), shape=(n_x, n_y)
+    )
+    mate = maximum_bipartite_matching(matrix, perm_type="column")
+    return int(np.count_nonzero(mate != -1))
+
+
+def reference_batch(edges, mate_x, batch):
+    """Dict model of one batch: applies it to ``edges`` (a set) in order and
+    returns the expected ``(inserted, deleted, skipped, freed)``.
+
+    ``mate_x`` maps each matched x to its y before the batch; a delete of a
+    matched edge frees it once, when that op applies.
+    """
+    inserted = deleted = skipped = freed = 0
+    mate = dict(mate_x)
+    for op, x, y in batch:
+        if op == "insert":
+            if (x, y) in edges:
+                skipped += 1
+            else:
+                edges.add((x, y))
+                inserted += 1
+        elif (x, y) not in edges:
+            skipped += 1
+        else:
+            edges.discard((x, y))
+            deleted += 1
+            if mate.get(x) == y:
+                del mate[x]
+                freed += 1
+    return inserted, deleted, skipped, freed
+
+
+def adversarial_batch(rng, n_x, n_y, edges, pairs):
+    """A batch mixing every in-order case the accounting must get right."""
+    batch = random_batch(rng, n_x, n_y, int(rng.integers(1, 30)),
+                         p_delete=float(rng.uniform(0.2, 0.6)))
+    present = sorted(edges)
+    for _ in range(int(rng.integers(0, 4))):
+        x, y = int(rng.integers(n_x)), int(rng.integers(n_y))
+        batch += [("insert", x, y), ("delete", x, y)]  # nets out to absent
+    if pairs:
+        x, y = pairs[int(rng.integers(len(pairs)))]
+        batch += [("delete", x, y), ("insert", x, y)]  # matched: freed
+    if present:
+        x, y = present[int(rng.integers(len(present)))]
+        batch += [("insert", x, y)] * 2  # skipped twice (already present)
+    if batch and rng.random() < 0.5:
+        batch.append(batch[int(rng.integers(len(batch)))])  # duplicate op
+    order = rng.permutation(len(batch)) if rng.random() < 0.3 else range(len(batch))
+    return [batch[i] for i in order]
+
+
+class TestScipyReferenceModel:
+    """Seeded random batch sequences against an independent oracle."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batch_sequence_against_scipy_and_dict_model(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        n_x, n_y = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+        m = IncrementalMatcher(n_x, n_y)
+        edges = set()
+        for _ in range(8):
+            pairs = m.matching().pairs()
+            batch = adversarial_batch(rng, n_x, n_y, edges, pairs)
+            expected = reference_batch(edges, pairs, batch)
+            stats = m.apply_batch(batch)
+            assert (stats.inserted, stats.deleted, stats.skipped,
+                    stats.freed) == expected
+            assert m.edge_list() == sorted(edges)
+            assert m.edge_count == len(edges)
+            assert stats.cardinality == m.cardinality
+            assert m.cardinality == scipy_cardinality(n_x, n_y, edges)
+            verify_maximum(m.graph(), m.matching())
+
+    def test_graph_bit_identical_to_from_edges(self):
+        rng = np.random.default_rng(3)
+        m = IncrementalMatcher(25, 17)
+        for _ in range(4):
+            m.apply_batch(random_batch(rng, 25, 17, 40))
+        g, ref = m.graph(), from_edges(25, 17, m.edge_list())
+        for name in ("x_ptr", "x_adj", "y_ptr", "y_adj"):
+            assert np.array_equal(getattr(g, name), getattr(ref, name))
+            assert getattr(g, name).dtype == getattr(ref, name).dtype
+
+    def test_bad_entry_leaves_graph_untouched(self):
+        m = IncrementalMatcher(3, 3)
+        m.apply_batch([("insert", 0, 0)])
+        with pytest.raises(MatchingError, match="out of range"):
+            m.apply_batch([("insert", 1, 1), ("delete", 0, 0), ("insert", 9, 0)])
+        assert m.edge_list() == [(0, 0)] and m.cardinality == 1

@@ -3,6 +3,7 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.cache import GraphCache
@@ -140,6 +141,22 @@ class TestSessionManager:
         )
         assert mgr.snapshot("a") == mgr.snapshot("b")
 
+    def test_snapshot_key_golden(self, tmp_path):
+        # The snapshot key hashes the canonical edge list; a change in how a
+        # session stores or orders its edges must not move existing keys.
+        rng = np.random.default_rng(2024)
+        edges = sorted({(int(rng.integers(0, 40)), int(rng.integers(0, 30)))
+                        for _ in range(120)})
+        mgr = SessionManager(cache=GraphCache(tmp_path / "cache"))
+        mgr.create("golden", 40, 30, edges)
+        mgr.get("golden").matcher.apply_batch(
+            [("delete", x, y) for x, y in edges[::5]]
+            + [("insert", 39, 29), ("insert", 0, 0)]
+        )
+        assert mgr.snapshot("golden") == (
+            "ea910dc85463fbeeb25197a12be0e89d8f272899a29f0635ed61c6caf466aca8"
+        )
+
     def test_load_unknown_key_errors(self, tmp_path):
         mgr = SessionManager(cache=GraphCache(tmp_path / "cache"))
         with pytest.raises(ServiceError, match="no cache entry"):
@@ -175,6 +192,22 @@ class TestHandleLine:
         r = send(d, id=3, cmd="match", session="g", verify=True, pairs=True)
         assert r["result"]["verified"] is True
         assert sorted(map(tuple, r["result"]["pairs"])) == [(1, 1), (2, 2)]
+
+    def test_match_certifies_by_default(self, tmp_path):
+        d = make_daemon(tmp_path)
+        send(d, id=1, cmd="create", session="g", n_x=2, n_y=2,
+             edges=[[0, 0], [1, 1]])
+        r = send(d, id=2, cmd="match", session="g")
+        assert r["ok"] and r["result"]["verified"] is True
+        # Break maximality behind the daemon's back: the default match
+        # must now fail its certificate, while verify=false skips it.
+        matcher = d.sessions.get("g").matcher
+        matcher.mate_x[0] = matcher.mate_y[0] = -1
+        r = send(d, id=3, cmd="match", session="g")
+        assert not r["ok"] and r["error"]["type"] == "VerificationError"
+        r = send(d, id=4, cmd="match", session="g", verify=False)
+        assert r["ok"] and r["result"]["cardinality"] == 1
+        assert "verified" not in r["result"]
 
     def test_unknown_session_is_permanent(self, tmp_path):
         d = make_daemon(tmp_path)
@@ -264,6 +297,8 @@ class TestEndToEnd:
             r = client.update("g", inserts=[(2, 2), (3, 3)], deletes=[(0, 0)])
             assert r["cardinality"] == 3
             assert client.match("g", verify=True)["verified"] is True
+            assert client.match("g")["verified"] is True
+            assert "verified" not in client.match("g", verify=False)
             key = client.snapshot("g")["key"]
             restored = client.load("g2", key)
             assert restored["cardinality"] == 3
