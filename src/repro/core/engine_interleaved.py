@@ -16,6 +16,11 @@ enforces this), so an attached
 detector in :mod:`repro.analysis.racecheck` — observes every shared
 access with thread/step/region attribution.
 
+The phase loop around the programs is
+:func:`repro.core.engine_loop.run_phase_loop`, the one the numpy and mp
+engines run; this module supplies each level as one simulated ``parallel
+for`` and the augmentation as a serial, path-bounded walk.
+
 This engine exists to *validate concurrency semantics*, not for speed: it
 steps a generator per traversed edge, so keep graphs small (tests use a few
 hundred vertices).
@@ -29,13 +34,13 @@ from typing import Generator, Iterable, List, Optional
 import numpy as np
 
 from repro.core import kernels
+from repro.core.engine_loop import PhaseKernels, run_phase_loop
 from repro.core.forest import ForestState
 from repro.core.options import GraftOptions
 from repro.errors import InvariantViolation, ReproError
 from repro.graph.csr import BipartiteCSR
-from repro.instrument.counters import Counters
 from repro.matching._common import adjacency_lists
-from repro.matching.base import UNMATCHED, MatchResult, Matching, init_matching
+from repro.matching.base import UNMATCHED, MatchResult, Matching
 from repro.parallel.atomics import AtomicArray
 from repro.parallel.shared import RegionMonitor, SharedArray
 from repro.parallel.simulator import InterleavedSimulator, SimThreadState
@@ -77,184 +82,110 @@ def run_interleaved(
         )
     start = time.perf_counter()
     tel = options.telemetry if options.telemetry is not None else NULL_TELEMETRY
-    with tel.run_span("interleaved", algorithm=options.algorithm_name, graph=graph):
-        return _run_interleaved(
-            graph,
-            initial,
-            options,
-            tel,
-            start,
-            threads=threads,
-            seed=seed,
-            monitor=monitor,
-            faults=faults,
-            max_phases=max_phases,
-        )
 
-
-def _run_interleaved(
-    graph: BipartiteCSR,
-    initial: Matching | None,
-    options: GraftOptions,
-    tel,
-    start: float,
-    *,
-    threads: int,
-    seed: SeedLike,
-    monitor: Optional[RegionMonitor],
-    faults: frozenset,
-    max_phases: Optional[int],
-) -> MatchResult:
-    with tel.step("setup"):
-        matching = init_matching(graph, initial)
-        counters = Counters()
-        state = ForestState.for_graph(graph)
+    def setup(matching: Matching, state: ForestState, trace) -> PhaseKernels:
         x_ptr, x_adj, y_ptr, y_adj = adjacency_lists(graph)
+        sim = InterleavedSimulator(threads, seed, faults=faults)
         mate_x = matching.mate_x
         mate_y = matching.mate_y
-        parent, root_x, root_y, leaf = (
-            state.parent,
-            state.root_x,
-            state.root_y,
-            state.leaf,
-        )
+        parent, leaf = state.parent, state.leaf
         # Shared-state views for the item programs. Serial code between
         # regions keeps using the raw arrays; programs go through these
         # wrappers so the monitor sees every access.
         visited = AtomicArray(state.visited, name="visited", observer=monitor)
         sh_parent = SharedArray(parent, "parent", monitor)
-        sh_root_x = SharedArray(root_x, "root_x", monitor)
-        sh_root_y = SharedArray(root_y, "root_y", monitor)
+        sh_root_x = SharedArray(state.root_x, "root_x", monitor)
+        sh_root_y = SharedArray(state.root_y, "root_y", monitor)
         sh_leaf = SharedArray(leaf, "leaf", monitor)
         sh_mate_y = SharedArray(mate_y, "mate_y", monitor)
-        sim = InterleavedSimulator(threads, seed, faults=faults)
         if monitor is not None:
             monitor.bind(sim=sim, graph=graph, state=state, matching=matching)
-        alpha = options.alpha
         edges = 0
-        deg_x = graph.deg_x
-        state.attach_degrees(graph.deg_y)
         path_bound = 2 * (graph.n_x + graph.n_y) + 1
-        # Initial frontier: all unmatched X vertices become tree roots
-        # (seeds the state's persistent unmatched-X list).
-        frontier = state.refresh_seeds(matching)
-        root_x[frontier] = frontier
-        leaf[frontier] = UNMATCHED
 
-    def prefer_top_down(frontier: np.ndarray) -> bool:
-        if not options.direction_optimizing:
-            return True
-        if options.direction_strategy == "edge":
-            frontier_edges = int(deg_x[frontier].sum())
-            return frontier_edges < state.unvisited_deg / alpha
-        return frontier.size < state.num_unvisited_y / alpha
-
-    def topdown_program(x: int, ts: SimThreadState) -> Generator[None, None, None]:
-        nonlocal edges
-        rx = sh_root_x.load(x)
-        if rx == UNMATCHED or sh_leaf.load(rx) != UNMATCHED:
-            return
-        for i in range(x_ptr[x], x_ptr[x + 1]):
-            yield  # one interleaving point per scanned edge
-            edges += 1
-            if sh_leaf.load(rx) != UNMATCHED:
-                break  # racy read — may miss a concurrent leaf write; benign
-            y = x_adj[i]
-            if visited.load(y):
-                continue  # cheap pre-check before the atomic (Section III-B)
-            yield  # check-then-act window: another thread may claim y here
-            if NON_ATOMIC_VISITED in sim.faults:
-                # FAULT: plain store instead of CAS — the pre-check load above
-                # and this write no longer form an atomic claim, so two
-                # threads can both "win" y.
-                visited.store(y, 1)
-            elif not visited.compare_and_swap(y, 0, 1):
-                continue  # lost the claim race
-            # The claim won: this thread owns y's pointers.
-            sh_parent.store(y, x)
-            sh_root_y.store(y, rx)
-            state.count_visit(y)
-            mate = sh_mate_y.load(y)
-            if mate != UNMATCHED:
-                sh_root_x.store(mate, rx)
-                ts.local["queue"].append(mate)
-            else:
-                sh_leaf.store(rx, y)  # benign race: last concurrent writer wins
-
-    def bottomup_program(y: int, ts: SimThreadState) -> Generator[None, None, None]:
-        nonlocal edges
-        for i in range(y_ptr[y], y_ptr[y + 1]):
-            yield
-            edges += 1
-            x = y_adj[i]
-            rx = sh_root_x.load(x)  # racy: may see a concurrently grafted tree
+        def topdown_program(x: int, ts: SimThreadState) -> Generator[None, None, None]:
+            nonlocal edges
+            rx = sh_root_x.load(x)
             if rx == UNMATCHED or sh_leaf.load(rx) != UNMATCHED:
-                continue
-            # y is owned by this thread: plain store, no atomic needed.
-            if not visited.load(y):
+                return
+            for i in range(x_ptr[x], x_ptr[x + 1]):
+                yield  # one interleaving point per scanned edge
+                edges += 1
+                if sh_leaf.load(rx) != UNMATCHED:
+                    break  # racy read — may miss a concurrent leaf write; benign
+                y = x_adj[i]
+                if visited.load(y):
+                    continue  # cheap pre-check before the atomic (Section III-B)
+                yield  # check-then-act window: another thread may claim y here
+                if NON_ATOMIC_VISITED in sim.faults:
+                    # FAULT: plain store instead of CAS — the pre-check load above
+                    # and this write no longer form an atomic claim, so two
+                    # threads can both "win" y.
+                    visited.store(y, 1)
+                elif not visited.compare_and_swap(y, 0, 1):
+                    continue  # lost the claim race
+                # The claim won: this thread owns y's pointers.
+                sh_parent.store(y, x)
+                sh_root_y.store(y, rx)
                 state.count_visit(y)
-            visited.store(y, 1)
-            sh_parent.store(y, x)
-            sh_root_y.store(y, rx)
-            mate = sh_mate_y.load(y)
-            if mate != UNMATCHED:
-                sh_root_x.store(mate, rx)
-                ts.local["queue"].append(mate)
-            else:
-                sh_leaf.store(rx, y)
-            break
+                mate = sh_mate_y.load(y)
+                if mate != UNMATCHED:
+                    sh_root_x.store(mate, rx)
+                    ts.local["queue"].append(mate)
+                else:
+                    sh_leaf.store(rx, y)  # benign race: last concurrent writer wins
 
-    def run_region(items: np.ndarray, program) -> np.ndarray:
-        thread_states = sim.parallel_for(
-            items,
-            program,
-            on_thread_start=lambda ts: ts.local.__setitem__("queue", []),
-        )
-        merged: List[int] = []
-        for ts in thread_states:
-            merged.extend(ts.local["queue"])
-        if monitor is not None:
-            monitor.after_barrier()
-        return np.asarray(merged, dtype=np.int64)
-
-    while True:
-        counters.phases += 1
-        options.begin_phase(counters.phases)
-        if max_phases is not None and counters.phases > max_phases:
-            raise ReproError(
-                f"phase limit {max_phases} exceeded; the run is not converging "
-                f"(possible state corruption from fault injection)"
-            )
-        # Step 1: BFS forest.
-        while frontier.size:
-            if state.num_unvisited_y == 0:
-                frontier = frontier[:0]
+        def bottomup_program(y: int, ts: SimThreadState) -> Generator[None, None, None]:
+            nonlocal edges
+            for i in range(y_ptr[y], y_ptr[y + 1]):
+                yield
+                edges += 1
+                x = y_adj[i]
+                rx = sh_root_x.load(x)  # racy: may see a concurrently grafted tree
+                if rx == UNMATCHED or sh_leaf.load(rx) != UNMATCHED:
+                    continue
+                # y is owned by this thread: plain store, no atomic needed.
+                if not visited.load(y):
+                    state.count_visit(y)
+                visited.store(y, 1)
+                sh_parent.store(y, x)
+                sh_root_y.store(y, rx)
+                mate = sh_mate_y.load(y)
+                if mate != UNMATCHED:
+                    sh_root_x.store(mate, rx)
+                    ts.local["queue"].append(mate)
+                else:
+                    sh_leaf.store(rx, y)
                 break
-            tel.observe_frontier(int(frontier.size))
-            counters.bfs_levels += 1
+
+        def run_region(items: np.ndarray, program) -> kernels.LevelStats:
+            """One ``parallel for`` over ``items``, as the phase loop's level."""
             unvisited_before = state.num_unvisited_y
             edges_before = edges
-            if prefer_top_down(frontier):
-                counters.topdown_steps += 1
-                with tel.step("topdown"):
-                    frontier = run_region(frontier, topdown_program)
-                tel.count_level(
-                    "topdown", claims=unvisited_before - state.num_unvisited_y
-                )
-            else:
-                counters.bottomup_steps += 1
-                with tel.step("bottomup"):
-                    rows = state.unvisited_candidates()
-                    frontier = run_region(rows, bottomup_program)
-                tel.count_level(
-                    "bottomup", claims=unvisited_before - state.num_unvisited_y
-                )
-            tel.count_edges(edges - edges_before)
-            tel.observe_candidates(state.num_unvisited_y)
+            thread_states = sim.parallel_for(
+                items,
+                program,
+                on_thread_start=lambda ts: ts.local.__setitem__("queue", []),
+            )
+            merged: List[int] = []
+            for ts in thread_states:
+                merged.extend(ts.local["queue"])
+            if monitor is not None:
+                monitor.after_barrier()
+            claims = unvisited_before - state.num_unvisited_y
+            return kernels.LevelStats(
+                next_frontier=np.asarray(merged, dtype=np.int64),
+                item_costs=kernels._NO_COSTS,
+                edges=edges - edges_before,
+                claims=claims,
+                attempts=claims,
+                endpoints=0,
+            )
 
-        # Step 2: augment (paths are vertex-disjoint; order is irrelevant).
-        augmented = 0
-        with tel.step("augment"):
+        def augment() -> np.ndarray:
+            # Serial, path-bounded: a fault-corrupted forest raises instead
+            # of looping (paths are vertex-disjoint; order is irrelevant).
+            lengths: List[int] = []
             for x0 in np.flatnonzero((mate_x == UNMATCHED) & (leaf != UNMATCHED)):
                 y = int(leaf[x0])
                 length = 0
@@ -273,42 +204,30 @@ def _run_interleaved(
                         break
                     y = prev_mate
                     length += 1
-                counters.record_path(length)
-                augmented += 1
-        if augmented == 0:
-            break
+                lengths.append(length)
+            return np.asarray(lengths, dtype=np.int64)
 
-        # Step 3: GRAFT.
-        with tel.step("statistics"):
-            renewable_x = np.flatnonzero(state.renewable_x_mask())
-            root_x[renewable_x] = UNMATCHED
-            active_x_count = int(np.count_nonzero(root_x != UNMATCHED))
-            active_y = np.flatnonzero(state.active_y_mask())
-            renewable_y = np.flatnonzero(state.renewable_y_mask())
-        with tel.step("grafting"):
-            # Serial recycling goes through the state helpers so the packed
-            # mirror, candidate list, and direction counters stay exact.
-            kernels.reset_rows(state, renewable_y)
-            if options.grafting and active_x_count > renewable_y.size / alpha:
-                before = state.num_unvisited_y
-                edges_before = edges
-                frontier = run_region(renewable_y, bottomup_program)
-                tel.count_edges(edges - edges_before)
-                counters.grafts += before - state.num_unvisited_y
-            else:
-                counters.tree_rebuilds += 1
-                kernels.reset_rows(state, active_y)
-                frontier = kernels.rebuild_from_unmatched(state, matching)
-        if options.check_invariants:
-            state.check_invariants(graph, matching)
-        if monitor is not None:
-            monitor.after_phase()
+        def end_phase(phase: int) -> None:
+            if monitor is not None:
+                monitor.after_phase()
+            if max_phases is not None and phase >= max_phases:
+                raise ReproError(
+                    f"phase limit {max_phases} exceeded; the run is not converging "
+                    f"(possible state corruption from fault injection)"
+                )
 
-    counters.edges_traversed = edges
-    tel.finish_run(counters)
-    return MatchResult(
-        matching=matching,
-        algorithm=options.algorithm_name + "-interleaved",
-        counters=counters,
-        wall_seconds=time.perf_counter() - start,
-    )
+        return PhaseKernels(
+            topdown=lambda frontier: run_region(frontier, topdown_program),
+            bottomup=lambda rows, region: run_region(rows, bottomup_program),
+            augment=augment,
+            end_phase=end_phase,
+            # The item programs do not maintain the tree-membership lists.
+            tracked_partition=False,
+        )
+
+    with tel.run_span("interleaved", algorithm=options.algorithm_name, graph=graph):
+        return run_phase_loop(
+            graph, initial, options, tel, start, setup,
+            algorithm=options.algorithm_name + "-interleaved",
+            work_trace=False,
+        )

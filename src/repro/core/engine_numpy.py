@@ -8,25 +8,21 @@ sweep, and the GRAFT statistics pass — which the simulated machine then
 schedules onto threads.
 
 Region kinds match the paper's Fig. 6 legend: ``topdown``, ``bottomup``,
-``augment``, ``grafting``, ``statistics``.
+``augment``, ``grafting``, ``statistics``. The phase loop itself is
+:func:`repro.core.engine_loop.run_phase_loop`; this module supplies the
+vectorized kernels of :mod:`repro.core.kernels` to it.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.core import kernels
-from repro.core.forest import ForestState
+from repro.core.engine_loop import PhaseKernels, run_phase_loop
 from repro.core.options import GraftOptions
 from repro.graph.csr import BipartiteCSR
-from repro.instrument.counters import Counters
-from repro.instrument.frontier import FrontierLog
-from repro.matching.base import MatchResult, Matching, init_matching
-from repro.parallel.trace import WorkTrace
+from repro.matching.base import MatchResult, Matching
 from repro.telemetry.session import NULL_TELEMETRY
-from repro.util.timer import StepTimer
 
 
 def run_numpy(
@@ -43,145 +39,20 @@ def run_numpy(
     """
     start = time.perf_counter()
     tel = options.telemetry if options.telemetry is not None else NULL_TELEMETRY
-    with tel.run_span("numpy", algorithm=options.algorithm_name, graph=graph):
-        result = _run_numpy(graph, initial, options, observer, tel, start)
-    return result
 
-
-def _run_numpy(
-    graph: BipartiteCSR,
-    initial: Matching | None,
-    options: GraftOptions,
-    observer,
-    tel,
-    start: float,
-) -> MatchResult:
-    with tel.step("setup"):
-        matching = init_matching(graph, initial)
-        counters = Counters()
-        timer = StepTimer()
-        trace = WorkTrace() if options.emit_trace else None
-        frontier_log = FrontierLog() if options.record_frontiers else None
-        state = ForestState.for_graph(graph)
+    def setup(matching, state, trace) -> PhaseKernels:
         state.observer = observer
-        workspace = kernels.KernelWorkspace.for_graph(graph)
-        workspace.want_costs = trace is not None
-        alpha = options.alpha
-        deg_x = graph.deg_x
-        state.attach_degrees(graph.deg_y)
-        frontier = kernels.rebuild_from_unmatched(state, matching)
+        ws = kernels.KernelWorkspace.for_graph(graph)
+        ws.want_costs = trace is not None
+        return PhaseKernels(
+            topdown=lambda frontier: kernels.topdown_level(
+                graph, state, matching, frontier, ws
+            ),
+            bottomup=lambda rows, region: kernels.bottomup_level(
+                graph, state, matching, rows, ws, region=region
+            ),
+            augment=lambda: kernels.augment_all(state, matching)[1],
+        )
 
-    def prefer_top_down(frontier: np.ndarray) -> bool:
-        if not options.direction_optimizing:
-            return True
-        if options.direction_strategy == "edge":
-            # state.unvisited_deg is the running sum of unvisited-Y degrees,
-            # so the switch costs O(|frontier|) instead of an O(n_y) masked
-            # sum per level.
-            frontier_edges = int(deg_x[frontier].sum())
-            return frontier_edges < state.unvisited_deg / alpha
-        return frontier.size < state.num_unvisited_y / alpha
-
-    while True:
-        counters.phases += 1
-        options.begin_phase(counters.phases)
-        if frontier_log is not None:
-            frontier_log.start_phase()
-
-        # --- Step 1: grow the alternating BFS forest ------------------- #
-        while frontier.size:
-            if state.num_unvisited_y == 0:
-                # No undiscovered Y vertex remains: the frontier cannot make
-                # progress or find an augmenting path, so the phase is over.
-                frontier = frontier[:0]
-                break
-            if frontier_log is not None:
-                frontier_log.record(int(frontier.size))
-            tel.observe_frontier(int(frontier.size))
-            counters.bfs_levels += 1
-            if prefer_top_down(frontier):
-                counters.topdown_steps += 1
-                with timer.step("topdown"), tel.step("topdown"):
-                    stats = kernels.topdown_level(graph, state, matching, frontier, workspace)
-                tel.count_level("topdown", claims=stats.claims)
-                if trace is not None:
-                    trace.add(
-                        "topdown",
-                        stats.item_costs,
-                        atomics=stats.attempts,
-                        queue_appends=int(stats.next_frontier.size),
-                    )
-            else:
-                counters.bottomup_steps += 1
-                with timer.step("bottomup"), tel.step("bottomup"):
-                    rows = state.unvisited_candidates()
-                    stats = kernels.bottomup_level(graph, state, matching, rows, workspace)
-                tel.count_level("bottomup", claims=stats.claims)
-                if trace is not None:
-                    trace.add(
-                        "bottomup",
-                        stats.item_costs,
-                        queue_appends=int(stats.next_frontier.size),
-                    )
-            counters.edges_traversed += stats.edges
-            tel.count_edges(stats.edges)
-            tel.observe_candidates(state.num_unvisited_y)
-            frontier = stats.next_frontier
-
-        # --- Step 2: augment along the discovered paths ---------------- #
-        with timer.step("augment"), tel.step("augment"):
-            roots, lengths = kernels.augment_all(state, matching)
-        counters.record_paths(lengths)
-        if trace is not None and lengths.size:
-            trace.add(
-                "augment",
-                lengths.astype(np.float64),
-                memory_pattern="irregular",
-            )
-        if lengths.size == 0:
-            break  # no augmenting path in this phase: maximum reached
-
-        # --- Step 3: rebuild the frontier (GRAFT) ---------------------- #
-        with timer.step("statistics"), tel.step("statistics"):
-            gstats = kernels.graft_partition(state, tracked=True)
-        if trace is not None:
-            trace.add_uniform("statistics", graph.n_x + graph.n_y, 1.0)
-        with timer.step("grafting"), tel.step("grafting"):
-            use_graft = options.grafting and (
-                gstats.active_x_count > gstats.renewable_y.size / alpha
-            )
-            if use_graft:
-                stats = kernels.bottomup_level(
-                    graph, state, matching, gstats.renewable_y, workspace, region="grafting"
-                )
-                counters.edges_traversed += stats.edges
-                tel.count_edges(stats.edges)
-                counters.grafts += stats.claims
-                frontier = stats.next_frontier
-                if trace is not None:
-                    trace.add(
-                        "grafting",
-                        stats.item_costs,
-                        queue_appends=int(stats.next_frontier.size),
-                    )
-            else:
-                counters.tree_rebuilds += 1
-                kernels.reset_rows(state, gstats.active_y)
-                frontier = kernels.rebuild_from_unmatched(state, matching)
-                if trace is not None:
-                    trace.add_uniform(
-                        "grafting", int(gstats.active_y.size) + int(frontier.size), 1.0
-                    )
-        if options.check_invariants:
-            state.check_invariants(graph, matching)
-
-    tel.finish_run(counters)
-    return MatchResult(
-        matching=matching,
-        algorithm=options.algorithm_name,
-        counters=counters,
-        trace=trace,
-        breakdown=dict(timer.totals),
-        frontier_log=frontier_log,
-        wall_seconds=time.perf_counter() - start,
-    )
+    with tel.run_span("numpy", algorithm=options.algorithm_name, graph=graph):
+        return run_phase_loop(graph, initial, options, tel, start, setup)

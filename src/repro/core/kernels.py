@@ -495,18 +495,17 @@ def graft_partition(
 ) -> GraftStats:
     """Fused GRAFT statistics + renewable-Y recycling (Alg. 7 lines 2-6).
 
-    One pass over each side partitions vertices into active / renewable,
-    clears the stale root pointers of renewable X vertices and — when
-    ``recycle`` is set — resets the renewable Y rows (visited flag, root)
-    so they can be re-claimed, all without re-deriving the ``leaf`` gather
-    per query the way the individual mask helpers do.
+    Partitions vertices into active / renewable, clears the stale root
+    pointers of renewable X vertices and — when ``recycle`` is set — resets
+    the renewable Y rows (visited flag, root) so they can be re-claimed.
 
     With ``tracked`` the partition runs over the state's incremental tree
-    membership lists (``tree_x_parts`` / ``tree_y_parts``) instead of both
-    full vertex ranges — O(tree vertices) per phase rather than O(n_x+n_y).
-    Only valid when every forest update since the last partition went
-    through these kernels (the numpy engine's flow); ad-hoc states built by
-    tests or the interleaved programs must use the default full scan.
+    membership lists (``tree_x_parts`` / ``tree_y_parts``) in one pass per
+    side — O(tree vertices) per phase rather than O(n_x+n_y). Only valid
+    when every forest update since the last partition went through these
+    kernels (the numpy and mp engines' flow); ad-hoc states built by tests
+    or the interleaved programs must use the default full scan, which
+    applies the forest's mask helpers to both vertex ranges.
     """
     if tracked:
         tx = _concat_parts(state.tree_x_parts)
@@ -526,16 +525,10 @@ def graft_partition(
             active_y=active_y,
             renewable_y=renewable_y,
         )
-    rooted_x = state.root_x != UNMATCHED
-    safe_x = np.where(rooted_x, state.root_x, 0)
-    renewable_mask_x = rooted_x & (state.leaf[safe_x] != UNMATCHED)
-    state.root_x[renewable_mask_x] = UNMATCHED
-    active_x_count = int(np.count_nonzero(rooted_x & ~renewable_mask_x))
-    rooted_y = state.root_y != UNMATCHED
-    safe_y = np.where(rooted_y, state.root_y, 0)
-    renewable_mask_y = rooted_y & (state.leaf[safe_y] != UNMATCHED)
-    active_y = np.flatnonzero(rooted_y & ~renewable_mask_y).astype(INDEX_DTYPE)
-    renewable_y = np.flatnonzero(renewable_mask_y).astype(INDEX_DTYPE)
+    state.root_x[state.renewable_x_mask()] = UNMATCHED
+    active_x_count = int(np.count_nonzero(state.root_x != UNMATCHED))
+    active_y = np.flatnonzero(state.active_y_mask()).astype(INDEX_DTYPE)
+    renewable_y = np.flatnonzero(state.renewable_y_mask()).astype(INDEX_DTYPE)
     if recycle:
         reset_rows(state, renewable_y)
     return GraftStats(active_x_count=active_x_count, active_y=active_y, renewable_y=renewable_y)

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.bitset import bitset_words
+from repro.core.engine_loop import PhaseKernels, run_phase_loop
 from repro.core.forest import ForestState
 from repro.core.options import GraftOptions
 from repro.distributed.commit import (
@@ -52,14 +53,10 @@ from repro.distributed.commit import (
 )
 from repro.errors import DeadlineExceeded, ReproError, WorkerCrashed
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
-from repro.instrument.counters import Counters
-from repro.instrument.frontier import FrontierLog
-from repro.matching.base import UNMATCHED, MatchResult, Matching, init_matching
-from repro.parallel.trace import WorkTrace
+from repro.matching.base import UNMATCHED, MatchResult, Matching
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.session import NULL_TELEMETRY
 from repro.telemetry.worker import WorkerRecorder, merge_worker_traces
-from repro.util.timer import StepTimer
 
 DEFAULT_WORKERS = 2
 """Worker count when ``engine="mp"`` is requested without one."""
@@ -584,6 +581,13 @@ class ProcPool:
                     replies.append(reply[1:])
         return replies
 
+    def _gather_claims(self, replies):
+        """The workers' claim regions ``(winners, sources)``, concatenated
+        in rank order (there is at least one worker)."""
+        winners = np.concatenate([self._out_y[w][: r[0]] for w, r in enumerate(replies)])
+        sources = np.concatenate([self._out_x[w][: r[0]] for w, r in enumerate(replies)])
+        return winners, sources
+
     def topdown_superstep(self, frontier: np.ndarray):
         """Distribute one top-down level; return the *globally resolved*
         ``(winners, sources, edges, attempts)``.
@@ -604,10 +608,7 @@ class ProcPool:
         )
         edges = sum(r[1] for r in replies)
         attempts = sum(r[2] for r in replies)
-        parts_y = [self._out_y[w][: replies[w][0]] for w in range(self.workers)]
-        parts_x = [self._out_x[w][: replies[w][0]] for w in range(self.workers)]
-        winners = np.concatenate(parts_y) if parts_y else np.empty(0, INDEX_DTYPE)
-        sources = np.concatenate(parts_x) if parts_x else np.empty(0, INDEX_DTYPE)
+        winners, sources = self._gather_claims(replies)
         if winners.size:
             win = kernels.first_claim(winners, self.workspace.slot_y, self.workspace)
             winners = winners[win]
@@ -631,16 +632,10 @@ class ProcPool:
             kind="bottomup", items=int(rows.shape[0]),
         )
         edges = sum(r[1] for r in replies)
-        parts_y = [self._out_y[w][: replies[w][0]] for w in range(self.workers)]
-        parts_x = [self._out_x[w][: replies[w][0]] for w in range(self.workers)]
-        winners = np.concatenate(parts_y) if parts_y else np.empty(0, INDEX_DTYPE)
-        sources = np.concatenate(parts_x) if parts_x else np.empty(0, INDEX_DTYPE)
-        if want_costs:
-            costs = np.concatenate(
-                [self._out_c[w][: hi - lo] for w, (lo, hi) in enumerate(bounds)]
-            ) if bounds else np.empty(0, np.int64)
-        else:
-            costs = None
+        winners, sources = self._gather_claims(replies)
+        costs = np.concatenate(
+            [self._out_c[w][: hi - lo] for w, (lo, hi) in enumerate(bounds)]
+        ) if want_costs else None
         return winners, sources, edges, costs
 
 
@@ -662,11 +657,12 @@ def run_mp(
     """MS-BFS-Graft on a local shared-memory process pool.
 
     Level-for-level identical to :func:`repro.core.engine_numpy.run_numpy`
-    — same direction rule, same claim resolution order, same grafting
-    policy — with the heavy levels scattered across ``workers`` processes.
-    Levels below ``min_level_items`` work items run on the master (the
-    barrier would cost more than the scan); both paths produce the same
-    result, so the trajectory is invariant under the choice.
+    — the same phase loop (:func:`repro.core.engine_loop.run_phase_loop`),
+    the same claim resolution order — with the heavy levels scattered
+    across ``workers`` processes. Levels below ``min_level_items`` work
+    items run on the master (the barrier would cost more than the scan);
+    both paths produce the same result, so the trajectory is invariant
+    under the choice.
 
     ``pool`` lets callers inject (and reuse or sabotage) a
     :class:`ProcPool`; an injected pool is *not* closed on return. The
@@ -702,7 +698,6 @@ def _run_mp(
         or pool.graph.nnz != graph.nnz
     ):
         raise ReproError("injected ProcPool was built for a different graph")
-    state = ForestState.for_graph(graph)
     # Master-side superstep/barrier instrumentation + worker-lane tracing.
     # Both are scoped to this run and reset in the finally, so an injected
     # pool reused across runs never carries a stale telemetry session.
@@ -723,37 +718,23 @@ def _run_mp(
             n_x=graph.n_x, n_y=graph.n_y, nnz=graph.nnz,
             segment=pool.segment_name, pids=pool.worker_pids(),
         )
-    try:
-        with tel.step("setup"):
-            matching = init_matching(graph, initial)
-            counters = Counters()
-            timer = StepTimer()
-            trace = WorkTrace() if options.emit_trace else None
-            frontier_log = FrontierLog() if options.record_frontiers else None
-            # Re-home the worker-scanned arrays onto the shared segment:
-            # every later mark_visited / leaf / root_x update the master
-            # makes is visible to the workers with no copies at all.
-            pool.visited_words[:] = state.visited_words
-            pool.root_x[:] = state.root_x
-            pool.leaf[:] = state.leaf
-            state.visited_words = pool.visited_words
-            state.root_x = pool.root_x
-            state.leaf = pool.leaf
-            ws = pool.workspace
-            ws.want_costs = trace is not None
-            alpha = options.alpha
-            deg_x = graph.deg_x
-            state.attach_degrees(graph.deg_y)
-            frontier = kernels.rebuild_from_unmatched(state, matching)
-        threshold = max(int(min_level_items), pool.workers)
+    homed: list[ForestState] = []
+    threshold = max(int(min_level_items), pool.workers)
+    deg_x = graph.deg_x
 
-        def prefer_top_down(frontier: np.ndarray) -> bool:
-            if not options.direction_optimizing:
-                return True
-            if options.direction_strategy == "edge":
-                frontier_edges = int(deg_x[frontier].sum())
-                return frontier_edges < state.unvisited_deg / alpha
-            return frontier.size < state.num_unvisited_y / alpha
+    def setup(matching: Matching, state: ForestState, trace) -> PhaseKernels:
+        # Re-home the worker-scanned arrays onto the shared segment:
+        # every later mark_visited / leaf / root_x update the master
+        # makes is visible to the workers with no copies at all.
+        pool.visited_words[:] = state.visited_words
+        pool.root_x[:] = state.root_x
+        pool.leaf[:] = state.leaf
+        state.visited_words = pool.visited_words
+        state.root_x = pool.root_x
+        state.leaf = pool.leaf
+        homed.append(state)
+        ws = pool.workspace
+        ws.want_costs = trace is not None
 
         def run_topdown(frontier: np.ndarray) -> kernels.LevelStats:
             if frontier.size < threshold:
@@ -795,128 +776,23 @@ def _run_mp(
                 item_costs, edges, 0, ws,
             )
 
-        while True:
-            counters.phases += 1
-            options.begin_phase(counters.phases)
-            if frontier_log is not None:
-                frontier_log.start_phase()
+        return PhaseKernels(
+            topdown=run_topdown,
+            bottomup=run_bottomup,
+            augment=lambda: kernels.augment_all(state, matching)[1],
+        )
 
-            # --- Step 1: grow the alternating BFS forest --------------- #
-            while frontier.size:
-                if state.num_unvisited_y == 0:
-                    frontier = frontier[:0]
-                    break
-                if frontier_log is not None:
-                    frontier_log.record(int(frontier.size))
-                tel.observe_frontier(int(frontier.size))
-                counters.bfs_levels += 1
-                top_down = prefer_top_down(frontier)
-                if flight is not None:
-                    flight.record(
-                        "level",
-                        phase=counters.phases,
-                        level=counters.bfs_levels,
-                        direction="topdown" if top_down else "bottomup",
-                        frontier=int(frontier.size),
-                        unvisited_y=int(state.num_unvisited_y),
-                    )
-                if top_down:
-                    counters.topdown_steps += 1
-                    with timer.step("topdown"), tel.step("topdown"):
-                        stats = run_topdown(frontier)
-                    tel.count_level("topdown", claims=stats.claims)
-                    if trace is not None:
-                        trace.add(
-                            "topdown",
-                            stats.item_costs,
-                            atomics=stats.attempts,
-                            queue_appends=int(stats.next_frontier.size),
-                        )
-                else:
-                    counters.bottomup_steps += 1
-                    with timer.step("bottomup"), tel.step("bottomup"):
-                        rows = state.unvisited_candidates()
-                        stats = run_bottomup(rows, "bottomup")
-                    tel.count_level("bottomup", claims=stats.claims)
-                    if trace is not None:
-                        trace.add(
-                            "bottomup",
-                            stats.item_costs,
-                            queue_appends=int(stats.next_frontier.size),
-                        )
-                counters.edges_traversed += stats.edges
-                tel.count_edges(stats.edges)
-                tel.observe_candidates(state.num_unvisited_y)
-                frontier = stats.next_frontier
-
-            # --- Step 2: augment along the discovered paths ------------ #
-            with timer.step("augment"), tel.step("augment"):
-                roots, lengths = kernels.augment_all(state, matching)
-            counters.record_paths(lengths)
-            if flight is not None:
-                flight.record(
-                    "augment",
-                    phase=counters.phases,
-                    paths=int(lengths.size),
-                    matched=int(matching.cardinality),
-                )
-            if trace is not None and lengths.size:
-                trace.add(
-                    "augment",
-                    lengths.astype(np.float64),
-                    memory_pattern="irregular",
-                )
-            if lengths.size == 0:
-                break  # no augmenting path in this phase: maximum reached
-
-            # --- Step 3: rebuild the frontier (GRAFT) ------------------ #
-            with timer.step("statistics"), tel.step("statistics"):
-                gstats = kernels.graft_partition(state, tracked=True)
-            if trace is not None:
-                trace.add_uniform("statistics", graph.n_x + graph.n_y, 1.0)
-            with timer.step("grafting"), tel.step("grafting"):
-                use_graft = options.grafting and (
-                    gstats.active_x_count > gstats.renewable_y.size / alpha
-                )
-                if use_graft:
-                    stats = run_bottomup(gstats.renewable_y, "grafting")
-                    counters.edges_traversed += stats.edges
-                    tel.count_edges(stats.edges)
-                    counters.grafts += stats.claims
-                    frontier = stats.next_frontier
-                    if trace is not None:
-                        trace.add(
-                            "grafting",
-                            stats.item_costs,
-                            queue_appends=int(stats.next_frontier.size),
-                        )
-                else:
-                    counters.tree_rebuilds += 1
-                    kernels.reset_rows(state, gstats.active_y)
-                    frontier = kernels.rebuild_from_unmatched(state, matching)
-                    if trace is not None:
-                        trace.add_uniform(
-                            "grafting", int(gstats.active_y.size) + int(frontier.size), 1.0
-                        )
-            if options.check_invariants:
-                state.check_invariants(graph, matching)
-
-        tel.finish_run(counters)
+    try:
+        result = run_phase_loop(
+            graph, initial, options, tel, start, setup, recorder=flight
+        )
         if worker_trace_paths:
             # Drain the per-worker span files into the master tracer so the
             # Chrome export shows one lane per worker pid next to the
             # master's superstep spans (same CLOCK_MONOTONIC time base).
             pool.stop_worker_tracing()
             merge_worker_traces(tel.tracer, worker_trace_paths)
-        return MatchResult(
-            matching=matching,
-            algorithm=options.algorithm_name,
-            counters=counters,
-            trace=trace,
-            breakdown=dict(timer.totals),
-            frontier_log=frontier_log,
-            wall_seconds=time.perf_counter() - start,
-        )
+        return result
     except (WorkerCrashed, DeadlineExceeded) as exc:
         if flight is not None:
             flight.record(
@@ -944,11 +820,9 @@ def _run_mp(
         # Detach the state from the segment before the pool unlinks it —
         # a caller holding the state (tests, invariant checks) must never
         # see views of freed memory.
-        if state.visited_words is pool.visited_words:
+        for state in homed:
             state.visited_words = np.array(state.visited_words)
-        if state.root_x is pool.root_x:
             state.root_x = np.array(state.root_x)
-        if state.leaf is pool.leaf:
             state.leaf = np.array(state.leaf)
         if own_pool:
             pool.close()

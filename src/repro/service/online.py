@@ -246,6 +246,10 @@ class MatchingDaemon:
             wfile.write(protocol.encode(response))
             wfile.flush()
             if response.get("result", {}).get("stopping"):
+                # Stop the server only now that the reply is flushed: handler
+                # threads are daemonic, so the process may exit as soon as
+                # serve_forever returns.
+                self.shutdown()
                 return
 
     def handle_line(self, line: str) -> Dict[str, Any]:
@@ -467,7 +471,9 @@ class MatchingDaemon:
         }
 
     def _cmd_shutdown(self, request: protocol.Request, rid: int) -> Dict[str, Any]:
-        self.shutdown()
+        # Refuse further requests at once; handle_stream stops the server
+        # after this reply has been written.
+        self._shutdown.set()
         return {"stopping": True, "requests_served": self.requests_served + 1}
 
 

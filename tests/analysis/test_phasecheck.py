@@ -149,6 +149,7 @@ class TestRealTree:
             "distributed/engine.py",
             "distributed/commit.py",
             "core/forest.py",
+            "core/engine_loop.py",
         ):
             dest = tmp_path / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
@@ -179,17 +180,14 @@ class TestRealTree:
         assert "REP004" in {f.code for f in findings}
 
     def test_regression_guard_missing_begin_phase(self, tmp_path):
-        findings = self._mutated_copy(
-            tmp_path,
-            [
-                (
-                    "distributed/engine.py",
-                    "options.begin_phase(counters.phases)",
-                    "pass",
-                )
-            ],
-        )
-        assert "REP005" in {f.code for f in findings}
+        # The BSP engine's own loop and the phase loop shared by the numpy,
+        # mp and interleaved engines are each guarded on their own.
+        for rel in ("distributed/engine.py", "core/engine_loop.py"):
+            findings = self._mutated_copy(
+                tmp_path / rel.replace("/", "_"),
+                [(rel, "options.begin_phase(counters.phases)", "pass")],
+            )
+            assert "REP005" in {f.code for f in findings}, rel
 
     def test_regression_guard_dropped_bitset_mirror(self, tmp_path):
         findings = self._mutated_copy(
