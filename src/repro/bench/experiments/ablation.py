@@ -14,15 +14,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import List
 
 from repro.bench.report import format_table
 from repro.bench.runner import suite_initializer
-from repro.bench.suite import build_suite, get_suite_graph
+from repro.bench.suite import get_suite_graph
 from repro.core.driver import ms_bfs_graft
 from repro.matching.greedy import greedy_matching
 from repro.matching.karp_sipser import karp_sipser
-from repro.matching.karp_sipser_parallel import karp_sipser_parallel
 from repro.parallel.cost_model import CostModel
 from repro.parallel.machine import MIRASOL, MachineSpec
 
@@ -87,9 +86,7 @@ def initializer_comparison(
         "none": lambda g: None,
         "greedy": lambda g: greedy_matching(g).matching,
         "karp-sipser": lambda g: karp_sipser(g, seed=seed).matching,
-        "karp-sipser-parallel": lambda g: karp_sipser_parallel(
-            g, seed=seed, max_degree_one_rounds=2
-        ).matching,
+        "karp-sipser-parallel": lambda g: suite_initializer(g, seed=seed),
     }
     rows: List[List[object]] = []
     for name in names:

@@ -79,6 +79,6 @@ def resolve_format(path: Union[str, Path], fmt: str) -> str:
 def warm_start_matching(graph: BipartiteCSR, seed: int):
     """The suite's Karp-Sipser-parallel warm start (see
     :func:`repro.bench.runner.suite_initializer`)."""
-    from repro.matching.karp_sipser_parallel import karp_sipser_parallel
+    from repro.bench.runner import suite_initializer
 
-    return karp_sipser_parallel(graph, seed=seed, max_degree_one_rounds=2).matching
+    return suite_initializer(graph, seed=seed)

@@ -13,7 +13,7 @@ extracted subgraphs and stitches the mate arrays back together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 

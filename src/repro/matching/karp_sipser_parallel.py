@@ -12,7 +12,11 @@ every graph class.
 
 This module reproduces those round semantics deterministically (claims are
 resolved by a seeded priority), giving the benchmark suite an initial
-matching of realistic parallel-KS quality. The serial heuristic lives in
+matching of realistic parallel-KS quality. Each round is a few bulk array
+operations over the proposers' rows, gathered with the level kernels'
+:func:`repro.core.kernels._gather_segments`; the residual degrees are
+counted once and then kept exact by decrements around each round's newly
+matched vertices. The serial heuristic lives in
 :mod:`repro.matching.karp_sipser`.
 """
 
@@ -22,10 +26,41 @@ import time
 
 import numpy as np
 
+from repro.core.kernels import _gather_segments
 from repro.graph.csr import INDEX_DTYPE, BipartiteCSR
 from repro.instrument.counters import Counters
 from repro.matching.base import MatchResult, Matching, init_matching
 from repro.util.rng import SeedLike, as_rng
+
+
+def _free_degrees(ptr: np.ndarray, adj: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Number of free neighbours of every row."""
+    sources = np.repeat(np.arange(ptr.shape[0] - 1, dtype=INDEX_DTYPE), np.diff(ptr))
+    return np.bincount(sources[free[adj]], minlength=ptr.shape[0] - 1)
+
+
+def _free_target(
+    ptr: np.ndarray,
+    adj: np.ndarray,
+    rows: np.ndarray,
+    free: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, int]:
+    """For each row, its first free neighbour in adjacency order or, given
+    ``rng``, a uniformly random one (one draw per row that has a free
+    neighbour, in row order); -1 where there is none. Also returns the
+    number of gathered edges."""
+    _, targets, offsets = _gather_segments(ptr, adj, rows, need_sources=False)
+    hits = np.flatnonzero(free[targets])
+    before = np.searchsorted(hits, offsets)  # free hits ahead of each row
+    counts = np.diff(before)
+    has = counts > 0
+    k = before[:-1][has]
+    if rng is not None:
+        k = k + rng.integers(0, counts[has])
+    out = np.full(rows.shape[0], -1, dtype=INDEX_DTYPE)
+    out[has] = targets[hits[k]]
+    return out, int(offsets[-1])
 
 
 def karp_sipser_parallel(
@@ -50,72 +85,39 @@ def karp_sipser_parallel(
     caps step 1 per iteration (the real implementation's threads interleave
     rule-1 and random matches; a low cap emulates more interleaving and
     yields slightly lower quality).
+
+    ``counters.edges_traversed`` charges every degree refresh — at the top
+    of each iteration and after each degree-1 round — as one pass over all
+    directed edges, the cost of the round-synchronous recount, although the
+    decrements here touch only the newly matched vertices' rows.
     """
     start = time.perf_counter()
     rng = as_rng(seed)
     matching = init_matching(graph, initial)
     counters = Counters()
-    n_x, n_y = graph.n_x, graph.n_y
     x_ptr, x_adj = graph.x_ptr, graph.x_adj
     y_ptr, y_adj = graph.y_ptr, graph.y_adj
-    mate_x = matching.mate_x
-    mate_y = matching.mate_y
+    mate_x, mate_y = matching.mate_x, matching.mate_y
     edges = 0
-
     free_x = mate_x == -1
     free_y = mate_y == -1
+    # Residual degrees: free neighbours of each free vertex, 0 once matched.
+    deg_x = _free_degrees(x_ptr, x_adj, free_y) * free_x
+    deg_y = _free_degrees(y_ptr, y_adj, free_x) * free_y
 
-    def residual_degrees() -> tuple[np.ndarray, np.ndarray]:
-        """Degrees counting only free opposite endpoints (full recount).
-
-        The parallel implementation keeps approximate counters; a recount
-        per round is equivalent and vectorizes cleanly.
-        """
-        nonlocal edges
-        deg_x = np.zeros(n_x, dtype=np.int64)
-        np.add.at(deg_x, _edge_sources_x(), free_y[x_adj].astype(np.int64))
-        deg_y = np.zeros(n_y, dtype=np.int64)
-        np.add.at(deg_y, _edge_sources_y(), free_x[y_adj].astype(np.int64))
-        deg_x[~free_x] = 0
-        deg_y[~free_y] = 0
-        edges += graph.num_directed_edges
-        return deg_x, deg_y
-
-    src_x_cache: list[np.ndarray] = []
-    src_y_cache: list[np.ndarray] = []
-
-    def _edge_sources_x() -> np.ndarray:
-        if not src_x_cache:
-            src_x_cache.append(
-                np.repeat(np.arange(n_x, dtype=INDEX_DTYPE), np.diff(x_ptr))
-            )
-        return src_x_cache[0]
-
-    def _edge_sources_y() -> np.ndarray:
-        if not src_y_cache:
-            src_y_cache.append(
-                np.repeat(np.arange(n_y, dtype=INDEX_DTYPE), np.diff(y_ptr))
-            )
-        return src_y_cache[0]
-
-    def first_free_neighbor_x(xs: np.ndarray) -> np.ndarray:
-        """For each x, a free neighbour (the first) or -1."""
-        out = np.full(xs.shape[0], -1, dtype=INDEX_DTYPE)
-        for i, x in enumerate(xs):  # rows are degree-1-ish: cheap scans
-            row = x_adj[x_ptr[x] : x_ptr[x + 1]]
-            hits = row[free_y[row]]
-            if hits.size:
-                out[i] = hits[0]
-        return out
-
-    def first_free_neighbor_y(ys: np.ndarray) -> np.ndarray:
-        out = np.full(ys.shape[0], -1, dtype=INDEX_DTYPE)
-        for i, y in enumerate(ys):
-            row = y_adj[y_ptr[y] : y_ptr[y + 1]]
-            hits = row[free_x[row]]
-            if hits.size:
-                out[i] = hits[0]
-        return out
+    def match(wx: np.ndarray, wy: np.ndarray) -> None:
+        """Match the pairs; every free neighbour of a newly matched vertex
+        loses one free neighbour, which keeps the degrees exact."""
+        mate_x[wx] = wy
+        mate_y[wy] = wx
+        free_x[wx] = False
+        free_y[wy] = False
+        sides = ((deg_x, y_ptr, y_adj, free_x, wy), (deg_y, x_ptr, x_adj, free_y, wx))
+        for deg, ptr, adj, free, gone in sides:
+            _, nbrs, _ = _gather_segments(ptr, adj, gone, need_sources=False)
+            deg -= np.bincount(nbrs[free[nbrs]], minlength=deg.shape[0])
+        deg_x[wx] = 0
+        deg_y[wy] = 0
 
     def resolve(proposers: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """One winner per target, chosen by seeded random priority."""
@@ -129,7 +131,7 @@ def karp_sipser_parallel(
         return priority[order][keep]
 
     while True:
-        deg_x, deg_y = residual_degrees()
+        edges += graph.num_directed_edges  # degree refresh (see docstring)
         progressed = False
 
         # --- degree-1 rounds ------------------------------------------- #
@@ -142,8 +144,8 @@ def karp_sipser_parallel(
             if ones_x.size == 0 and ones_y.size == 0:
                 break
             rounds += 1
-            tx = first_free_neighbor_x(ones_x)
-            ty = first_free_neighbor_y(ones_y)
+            tx, _ = _free_target(x_ptr, x_adj, ones_x, free_y)
+            ty, _ = _free_target(y_ptr, y_adj, ones_y, free_x)
             edges += int(ones_x.size + ones_y.size)
             # Combine both sides' proposals into (x, y) pairs.
             px = np.concatenate([ones_x[tx != -1], ty[ty != -1]])
@@ -160,13 +162,9 @@ def karp_sipser_parallel(
             wx, wy = wx[still], wy[still]
             if wx.size == 0:
                 break
-            mate_x[wx] = wy
-            mate_y[wy] = wx
-            free_x[wx] = False
-            free_y[wy] = False
+            match(wx, wy)
             progressed = True
-            # Recount degrees after the simultaneous round.
-            deg_x, deg_y = residual_degrees()
+            edges += graph.num_directed_edges
 
         # --- one random proposal round --------------------------------- #
         candidates = np.flatnonzero(free_x & (deg_x > 0))
@@ -174,22 +172,13 @@ def karp_sipser_parallel(
             if not progressed:
                 break
             continue
-        # Every free x proposes a random free neighbour.
-        proposals = np.full(candidates.shape[0], -1, dtype=INDEX_DTYPE)
-        for i, x in enumerate(candidates):
-            row = x_adj[x_ptr[x] : x_ptr[x + 1]]
-            hits = row[free_y[row]]
-            edges += int(row.shape[0])
-            if hits.size:
-                proposals[i] = hits[rng.integers(0, hits.size)]
+        # Every free x proposes a uniformly random free neighbour.
+        proposals, scanned = _free_target(x_ptr, x_adj, candidates, free_y, rng)
+        edges += scanned
         valid = proposals != -1
         px, py = candidates[valid], proposals[valid]
         win = resolve(px, py)
-        wx, wy = px[win], py[win]
-        mate_x[wx] = wy
-        mate_y[wy] = wx
-        free_x[wx] = False
-        free_y[wy] = False
+        match(px[win], py[win])
         counters.phases += 1
 
     counters.edges_traversed = edges

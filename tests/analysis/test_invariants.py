@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.invariants import (
     InvariantChecker,
-    check_all_invariants,
     check_alternating_paths,
     check_mate_consistency,
     check_tree_disjointness,

@@ -12,10 +12,6 @@ reproduce the figure verbatim. Two complements:
   the perfect matching.
 """
 
-import pytest
-
-from tests.conftest import paper_figure2_graph
-
 from repro.core.driver import ms_bfs_graft
 from repro.graph.builder import from_edges
 from repro.matching.base import Matching
@@ -66,8 +62,6 @@ class TestGraftingWalkthrough:
     def test_grafted_vertex_joins_active_tree(self):
         # Drive the engine phase by phase through the kernels to observe
         # the graft re-attaching y2 under the active tree rooted at x0.
-        import numpy as np
-
         from repro.core import kernels
         from repro.core.forest import ForestState
         from repro.matching.base import init_matching

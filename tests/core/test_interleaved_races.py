@@ -74,10 +74,8 @@ class TestRacesActuallyHappen:
         graph = complete_bipartite(12, 6)
 
         def run_and_count(seed):
-            from repro.matching.base import Matching, init_matching
             from repro.core.forest import ForestState
 
-            matching = init_matching(graph, None)
             state = ForestState.for_graph(graph)
             atomic = AtomicArray(state.visited)
             # Drive one top-down level manually through the simulator.

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MatchingError
+from repro.graph.builder import from_edges
 from repro.graph.generators import (
     chain_graph,
     complete_bipartite,
@@ -81,7 +83,35 @@ class TestKarpSipserParallel:
         # more than half of maximum (maximality holds).
         g = planted_matching(300, extra_edges=900, seed=3)
         par = karp_sipser_parallel(g, seed=0, max_degree_one_rounds=2)
-        assert par.cardinality <= 300
+        assert par.cardinality <= karp_sipser(g, seed=0).cardinality
+        assert 2 * par.cardinality >= 300
+
+    def test_respects_initial_matching(self):
+        g = random_bipartite(30, 30, 120, seed=6)
+        init = greedy_matching(g).matching
+        for x, _ in init.pairs()[::2]:
+            init.unmatch(x)
+        result = karp_sipser_parallel(g, init, seed=0)
+        for x, y in init.pairs():
+            assert result.matching.mate_x[x] == y
+        assert is_valid_matching(g, result.matching)
+        assert is_maximal_matching(g, result.matching)
+        assert result.cardinality > init.cardinality
+        g = complete_bipartite(3, 3)
+        result = karp_sipser_parallel(g, Matching.from_pairs(3, 3, [(0, 2)]), seed=0)
+        assert result.matching.mate_x[0] == 2
+        assert result.cardinality == 3
+
+    @pytest.mark.parametrize("defect", ["inconsistent", "out-of-range", "non-edge"])
+    def test_rejects_invalid_initial_matching(self, defect):
+        g = from_edges(2, 2, [(0, 0), (1, 1)])
+        bad = {
+            "inconsistent": Matching(2, 2, np.array([0, -1]), np.array([-1, -1])),
+            "out-of-range": Matching(2, 2, np.array([2, -1]), np.array([-1, -1])),
+            "non-edge": Matching.from_pairs(2, 2, [(0, 1)]),
+        }[defect]
+        with pytest.raises(MatchingError):
+            karp_sipser_parallel(g, bad, seed=0)
 
     def test_round_cap_zero_still_maximal(self):
         g = random_bipartite(40, 40, 160, seed=1)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BenchmarkError, MachineConfigError
-from repro.parallel.cost_model import CostModel, SimulatedTime
+from repro.parallel.cost_model import CostModel
 from repro.parallel.machine import LAPTOP, MIRASOL
 from repro.parallel.trace import WorkTrace
 

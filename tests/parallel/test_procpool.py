@@ -29,7 +29,6 @@ from repro.graph.permute import permute
 from repro.matching.base import UNMATCHED, Matching
 from repro.matching.verify import verify_maximum
 from repro.parallel.procpool import (
-    DEFAULT_WORKERS,
     ProcPool,
     _build_layout,
     _chunk_bounds,

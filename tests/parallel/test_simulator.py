@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel.simulator import InterleavedSimulator, SimThreadState, run_serial
+from repro.parallel.simulator import InterleavedSimulator, run_serial
 
 
 def counting_program(results):
